@@ -1,0 +1,9 @@
+//go:build !unix
+
+package main
+
+// Without getrusage the CPU and memory metrics read 0; the benchmark's
+// reference platform is Linux.
+func cpuSeconds() float64 { return 0 }
+
+func peakRSSMB() float64 { return 0 }
