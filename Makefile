@@ -13,7 +13,7 @@ STRESS_PATTERN := TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDema
 # Packages carrying seeded golden datasets (testdata/golden_*.json).
 GOLDEN_PKGS := ./internal/sim/ ./internal/nas/
 
-.PHONY: check race bench benchdiff benchgate stress lint protodoc servertest golden golden-regen repro
+.PHONY: check race bench benchdiff benchgate repobench stress lint protodoc servertest golden golden-regen repro
 
 # Every registered schedlint analyzer; `make lint` fails if a
 # registration regression drops one.
@@ -45,9 +45,12 @@ protodoc:
 	$(GO) run ./cmd/schedlint -protodoc DESIGN.md ./...
 
 ## race: race-detect the scheduler hot path and the metrics plane
-## (includes the stress tests)
+## (includes the stress tests), and the IS ranking round, whose segments
+## write disjoint rows and whose prefix ranges write disjoint columns of
+## one histogram slab
 race:
 	$(GO) test -race -count=1 $(SCHED_PKGS) ./internal/metrics/
+	$(GO) test -race -count=1 -run 'TestIS|TestNPBIS' ./internal/nas/
 
 ## stress: race-detect the cancellation, error-propagation, steal-path
 ## and metrics-plane stress tests (public API package included)
@@ -82,6 +85,16 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' \
 		-benchtime 0.5s -count=2 ./internal/sched/ | tee /tmp/bench_sched.txt
 	$(GO) run ./cmd/benchjson -in /tmp/bench_sched.txt -out BENCH_sched.json
+
+## repobench: run the repository benchmark (BENCHMARK.json) — one
+## workload with WORKLOAD=<name>, else all four; prints every metric, no
+## gate (compare two commits by interleaved runs, see benchmark/README.md)
+REPOBENCH_WORKLOADS := iter_fine skew_coarse nas_suite serve_mixed
+SEED ?= 1
+repobench:
+	@for w in $(or $(WORKLOAD),$(REPOBENCH_WORKLOADS)); do \
+		$(GO) run ./benchmark -workload $$w -seed $(SEED) || exit 1; \
+	done
 
 ## servertest: smoke-test the multi-tenant serving example — self-driving
 ## load run with a concurrent giant batch loop; exits non-zero if the

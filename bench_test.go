@@ -220,6 +220,11 @@ func BenchmarkRuntime_NASKernels(b *testing.B) {
 			nas.IS{N: 1 << 17, MaxKey: 1 << 11, Iterations: 2}.Parallel(pool)
 		}
 	})
+	b.Run("is_seq", func(b *testing.B) { // is's sequential twin, for the ratio
+		for i := 0; i < b.N; i++ {
+			nas.IS{N: 1 << 17, MaxKey: 1 << 11, Iterations: 2}.Sequential()
+		}
+	})
 	b.Run("cg", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			nas.CG{N: 4000, NIters: 1, InnerIters: 10}.Parallel(pool)

@@ -37,7 +37,7 @@ func main() {
 	stratName := flag.String("strategy", "hybrid", "hybrid, static, stealing, sharing, guided")
 	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 	size := flag.Int("size", 0, "problem size (kernel-specific; 0 = default)")
-	class := flag.String("class", "", "NPB class (S or W): run the official benchmark with verification")
+	class := flag.String("class", "", "NPB class (S for every kernel; W for cg, ep, is; A for cg, is): run the official benchmark with verification")
 	reps := flag.Int("reps", 1, "repetitions (timings reported per rep)")
 	doTrace := flag.Bool("trace", false, "print per-worker scheduling summary")
 	verify := flag.Bool("verify", false, "cross-check against the sequential reference")

@@ -139,11 +139,9 @@ type cgOps struct {
 }
 
 // cgSolve runs iters CG iterations on A z = b from z = 0, returning the
-// final residual norm. Mirrors the NPB conjgrad routine.
-func cgSolve(n, iters int, ops cgOps, b, z []float64) float64 {
-	r := make([]float64, n)
-	p := make([]float64, n)
-	q := make([]float64, n)
+// final residual norm. Mirrors the NPB conjgrad routine. r, p and q are
+// the caller's scratch vectors, overwritten.
+func cgSolve(iters int, ops cgOps, b, z, r, p, q []float64) float64 {
 	for i := range z {
 		z[i] = 0
 	}
@@ -168,12 +166,13 @@ func (c CG) outer(a *CSR, ops cgOps) CGResult {
 	n := a.N
 	x := make([]float64, n)
 	z := make([]float64, n)
+	r, p, q := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range x {
 		x[i] = 1
 	}
 	res := CGResult{}
 	for it := 0; it < c.NIters; it++ {
-		res.Residual = cgSolve(n, c.InnerIters, ops, x, z)
+		res.Residual = cgSolve(c.InnerIters, ops, x, z, r, p, q)
 		zeta := c.Shift + 1/ops.dot(x, z)
 		res.Zetas = append(res.Zetas, zeta)
 		res.Zeta = zeta
@@ -226,6 +225,7 @@ func (c CG) Parallel(p Pool, opts ...hybridloop.ForOption) CGResult {
 // ParallelOn runs the outer loop on a pre-built matrix.
 func (c CG) ParallelOn(p Pool, a *CSR, opts ...hybridloop.ForOption) CGResult {
 	c = c.defaults()
+	partials := make([]float64, numBlocks(a.N)) // every dot's scratch
 	ops := cgOps{
 		spmv: func(dst, x []float64) {
 			p.For(0, a.N, func(lo, hi int) {
@@ -235,7 +235,7 @@ func (c CG) ParallelOn(p Pool, a *CSR, opts ...hybridloop.ForOption) CGResult {
 			}, opts...)
 		},
 		dot: func(x, y []float64) float64 {
-			return parallelSum(p, a.N, func(i int) float64 { return x[i] * y[i] }, opts...)
+			return parallelSum(p, partials, a.N, func(i int) float64 { return x[i] * y[i] }, opts...)
 		},
 		axpy: func(dst []float64, alpha float64, x, y []float64) {
 			p.For(0, len(dst), func(lo, hi int) {

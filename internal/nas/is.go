@@ -2,18 +2,28 @@ package nas
 
 import (
 	"fmt"
+	"math"
 
 	"hybridloop"
 	"hybridloop/internal/rng"
 )
 
 // IS is the NPB integer-sort kernel: rank N keys drawn from [0, MaxKey)
-// by bucketed counting sort, repeated for Iterations rounds. As in NPB,
-// each round perturbs two keys (a function of the round number) before
-// ranking, so the work cannot be hoisted out of the loop. The parallel
-// phases are (1) per-chunk private histograms over the key array and
-// (2) rank assignment, both expressed as parallel loops; the bucket
-// prefix sum is sequential (it is O(MaxKey), tiny next to O(N)).
+// by counting sort, repeated for Iterations rounds. As in NPB, each round
+// perturbs two keys (a function of the round number) before ranking, so
+// the work cannot be hoisted out of the loop.
+//
+// The parallel round (ranker, below) is NPB's per-thread-histogram scheme
+// with segments in place of threads: the key array is cut into
+// G = min(ceil(N/1024), 8*workers) contiguous segments, each with a private
+// MaxKey-wide histogram — O(workers*MaxKey) counters in all, whatever N is.
+// Segments are counted in parallel, the exclusive prefix over (bucket,
+// segment) pairs is taken in parallel over bucket ranges, and each segment
+// then assigns its own keys' ranks in parallel. A key's rank is the number
+// of keys in smaller buckets plus the number of equal keys at smaller
+// indices — a function of the keys alone — so every segmentation, and
+// therefore every pool size and schedule, produces the same bits as
+// rankSequential.
 //
 // Deviation from NPB (documented in DESIGN.md): keys come from our
 // xoshiro generator rather than NPB's sum-of-four-randlc recipe — the
@@ -42,8 +52,12 @@ func (s IS) defaults() IS {
 	if s.Seed == 0 {
 		s.Seed = 314159265
 	}
-	if s.N <= 0 {
+	// Ranks and bucket counts are int32, as in NPB.
+	if s.N <= 0 || s.N > math.MaxInt32 {
 		panic(fmt.Sprintf("nas: IS N=%d", s.N))
+	}
+	if s.MaxKey <= 0 {
+		panic(fmt.Sprintf("nas: IS MaxKey=%d", s.MaxKey))
 	}
 	return s
 }
@@ -59,10 +73,12 @@ func (s IS) genKeys() []int32 {
 }
 
 // perturb is NPB's per-iteration modification: place the iteration number
-// and its complement at positions derived from the round.
+// and its complement (both modulo MaxKey, into [0, MaxKey)) at positions
+// derived from the round.
 func (s IS) perturb(keys []int32, round int) {
-	keys[round] = int32(round % s.MaxKey)
-	keys[(round+s.N/2)%s.N] = int32((s.MaxKey - round) % s.MaxKey)
+	k := round % s.MaxKey
+	keys[round%s.N] = int32(k)
+	keys[(round+s.N/2)%s.N] = int32((s.MaxKey - k) % s.MaxKey)
 }
 
 // rankSequential ranks keys by counting sort, sequentially.
@@ -99,64 +115,114 @@ func (s IS) Sequential() ISResult {
 	return ISResult{Keys: keys, Ranks: ranks}
 }
 
-// Parallel runs all rounds with parallel histogram and ranking loops.
-// The result is identical to Sequential: per-chunk histograms partition
-// the key array at fixed block boundaries, and ranks within a bucket are
-// assigned in block order, reproducing the stable sequential ranking.
+// Parallel runs all rounds on the pool; the result is bit-identical to
+// Sequential (see the type comment).
 func (s IS) Parallel(p Pool, opts ...hybridloop.ForOption) ISResult {
 	s = s.defaults()
 	keys := s.genKeys()
-	nb := numBlocks(s.N)
-	// hists[b] is block b's private histogram; reused across rounds.
-	hists := make([][]int32, nb)
-	for b := range hists {
-		hists[b] = make([]int32, s.MaxKey)
-	}
-	var ranks []int32
+	r := s.newRanker(p, opts)
 	for round := 0; round < s.Iterations; round++ {
 		s.perturb(keys, round)
-		// Phase 1: private histograms per fixed block.
-		p.For(0, nb, func(blo, bhi int) {
-			for b := blo; b < bhi; b++ {
-				h := hists[b]
-				for i := range h {
-					h[i] = 0
-				}
-				lo, hi := blockRange(b, s.N)
-				for _, k := range keys[lo:hi] {
-					h[k]++
-				}
-			}
-		}, opts...)
-		// Phase 2 (sequential, O(MaxKey * nb)): for each bucket, compute
-		// the starting rank of each block's keys so that ranking is
-		// stable by (bucket, block, index) — exactly the sequential
-		// counting sort's order.
-		starts := make([]int32, s.MaxKey)
-		var acc int32
-		for bucket := 0; bucket < s.MaxKey; bucket++ {
-			starts[bucket] = acc
-			for b := 0; b < nb; b++ {
-				c := hists[b][bucket]
-				hists[b][bucket] = acc
-				acc += c
+		r.rank(keys)
+	}
+	return ISResult{Keys: keys, Ranks: r.ranks}
+}
+
+// prefixRange is the number of buckets one iteration of the prefix loop
+// covers: 4 KB of each histogram row and of starts.
+const prefixRange = 1024
+
+// ranker is the parallel ranking round and the scratch it reuses across
+// the rounds of one call.
+type ranker struct {
+	p      Pool
+	opts   []hybridloop.ForOption
+	n      int     // keys
+	maxKey int     // buckets
+	segs   int     // G contiguous segments of n/G keys, give or take one
+	hist   []int32 // segs rows of maxKey counters, one row a segment
+	starts []int32 // per bucket: keys in smaller buckets of its prefix range
+	bases  []int32 // per prefix range: keys in the ranges before it
+	ranks  []int32 // the round's output, overwritten by the next round
+}
+
+func (s IS) newRanker(p Pool, opts []hybridloop.ForOption) *ranker {
+	segs := min(numBlocks(s.N), 8*p.Workers())
+	return &ranker{
+		p: p, opts: opts, n: s.N, maxKey: s.MaxKey, segs: segs,
+		hist:   make([]int32, segs*s.MaxKey),
+		starts: make([]int32, s.MaxKey),
+		bases:  make([]int32, (s.MaxKey+prefixRange-1)/prefixRange),
+		ranks:  make([]int32, s.N),
+	}
+}
+
+func (r *ranker) row(g int) []int32 { return r.hist[g*r.maxKey : (g+1)*r.maxKey] }
+
+// segment returns the bounds of segment g's keys (n fits int32 and g is at
+// most 8*workers, so the products fit an int).
+func (r *ranker) segment(g int) (lo, hi int) { return g * r.n / r.segs, (g + 1) * r.n / r.segs }
+
+// rank fills r.ranks with the stable counting-sort ranks of keys.
+func (r *ranker) rank(keys []int32) {
+	segs, maxKey := r.segs, r.maxKey
+	// Count: a private histogram per segment.
+	r.p.For(0, segs, func(glo, ghi int) {
+		for g := glo; g < ghi; g++ {
+			h := r.row(g)
+			clear(h)
+			lo, hi := r.segment(g)
+			for _, k := range keys[lo:hi] {
+				h[k]++
 			}
 		}
-		// Phase 3: assign ranks per block using the block's bucket bases.
-		ranks = make([]int32, s.N)
-		p.For(0, nb, func(blo, bhi int) {
-			for b := blo; b < bhi; b++ {
-				base := hists[b]
-				lo, hi := blockRange(b, s.N)
-				for i := lo; i < hi; i++ {
-					k := keys[i]
-					ranks[i] = base[k]
-					base[k]++
+	}, r.opts...)
+	// Prefix, local to each range of buckets and walking the rows in
+	// memory order: row g is left holding, per bucket, the equal keys in
+	// segments before g; starts the keys in smaller buckets of the range;
+	// bases the range's total.
+	r.p.For(0, len(r.bases), func(rlo, rhi int) {
+		for q := rlo; q < rhi; q++ {
+			lo, hi := q*prefixRange, min((q+1)*prefixRange, maxKey)
+			acc := r.starts[lo:hi]
+			clear(acc)
+			for g := 0; g < segs; g++ {
+				h := r.row(g)[lo:hi]
+				for j, c := range h {
+					h[j] = acc[j]
+					acc[j] += c
 				}
 			}
-		}, opts...)
+			var sum int32
+			for j, c := range acc {
+				acc[j] = sum
+				sum += c
+			}
+			r.bases[q] = sum
+		}
+	}, r.opts...)
+	// The range totals are few (maxKey/prefixRange): scan them here.
+	var sum int32
+	for q, c := range r.bases {
+		r.bases[q] = sum
+		sum += c
 	}
-	return ISResult{Keys: keys, Ranks: ranks}
+	// Assign: each segment completes its row into per-bucket next ranks
+	// and hands them out in index order.
+	r.p.For(0, segs, func(glo, ghi int) {
+		for g := glo; g < ghi; g++ {
+			h := r.row(g)
+			for b := range h {
+				h[b] += r.starts[b] + r.bases[b/prefixRange]
+			}
+			lo, hi := r.segment(g)
+			for i := lo; i < hi; i++ {
+				k := keys[i]
+				r.ranks[i] = h[k]
+				h[k]++
+			}
+		}
+	}, r.opts...)
 }
 
 // VerifyRanks checks the ranking invariants: ranks form a permutation of

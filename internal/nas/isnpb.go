@@ -92,56 +92,12 @@ func (s IS) runSequentialOn(keys []int32) ISResult {
 // reproducing the sequential stable ranking exactly.
 func (s IS) runParallelOn(p Pool, keys []int32, opts ...hybridloop.ForOption) ISResult {
 	s = s.defaults()
-	nb := numBlocks(s.N)
-	hists := make([][]int32, nb)
-	for b := range hists {
-		hists[b] = make([]int32, s.MaxKey)
-	}
-	var ranks []int32
+	r := s.newRanker(p, opts)
 	for round := 1; round <= s.Iterations; round++ {
 		s.perturbNPB(keys, round)
-		ranks = s.rankParallelOnce(p, keys, hists, opts...)
+		r.rank(keys)
 	}
-	return ISResult{Keys: keys, Ranks: ranks}
-}
-
-// rankParallelOnce performs one parallel ranking round (the three phases
-// of IS.Parallel, factored out for reuse with NPB key sequences).
-func (s IS) rankParallelOnce(p Pool, keys []int32, hists [][]int32, opts ...hybridloop.ForOption) []int32 {
-	nb := numBlocks(s.N)
-	p.For(0, nb, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			h := hists[b]
-			for i := range h {
-				h[i] = 0
-			}
-			lo, hi := blockRange(b, s.N)
-			for _, k := range keys[lo:hi] {
-				h[k]++
-			}
-		}
-	}, opts...)
-	var acc int32
-	for bucket := 0; bucket < s.MaxKey; bucket++ {
-		for b := 0; b < nb; b++ {
-			c := hists[b][bucket]
-			hists[b][bucket] = acc
-			acc += c
-		}
-	}
-	ranks := make([]int32, s.N)
-	p.For(0, nb, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			base := hists[b]
-			lo, hi := blockRange(b, s.N)
-			for i := lo; i < hi; i++ {
-				k := keys[i]
-				ranks[i] = base[k]
-				base[k]++
-			}
-		}
-	}, opts...)
-	return ranks
+	return ISResult{Keys: keys, Ranks: r.ranks}
 }
 
 // BucketLoads returns, for diagnostic purposes, the histogram of the NPB

@@ -49,10 +49,12 @@ func blockRange(b, n int) (lo, hi int) {
 }
 
 // parallelSum computes sum_{i in [0,n)} f(i) with a deterministic
-// block-wise reduction on the pool.
-func parallelSum(p Pool, n int, f func(i int) float64, opts ...hybridloop.ForOption) float64 {
+// block-wise reduction on the pool. partials is the caller's scratch, at
+// least numBlocks(n) long, so a solver making hundreds of reductions
+// allocates it once.
+func parallelSum(p Pool, partials []float64, n int, f func(i int) float64, opts ...hybridloop.ForOption) float64 {
 	nb := numBlocks(n)
-	partials := make([]float64, nb)
+	partials = partials[:nb]
 	p.For(0, nb, func(blo, bhi int) {
 		for b := blo; b < bhi; b++ {
 			lo, hi := blockRange(b, n)

@@ -28,7 +28,7 @@ func TestParallelSumMatchesSeq(t *testing.T) {
 	for _, n := range []int{0, 1, 100, reduceBlock, reduceBlock + 1, 10 * reduceBlock} {
 		want := seqSum(n, f)
 		for _, s := range testStrategies {
-			got := parallelSum(p, n, f, hybridloop.WithStrategy(s))
+			got := parallelSum(p, make([]float64, numBlocks(n)), n, f, hybridloop.WithStrategy(s))
 			if got != want {
 				t.Fatalf("n=%d %v: parallelSum = %v, want %v (must be bitwise equal)", n, s, got, want)
 			}

@@ -160,8 +160,11 @@ func FTProfile(n1, n2, n3, iters int) sim.Workload {
 }
 
 // ISProfile mirrors nas.IS: per ranking round, a histogram sweep and a
-// rank-assignment sweep over the key array in fixed blocks — two
-// memory-heavy loops per round over the same index space.
+// rank-assignment sweep over the key array — two memory-heavy loops per
+// round over the same index space. Its iterations are 4096-key slices of
+// the array (the unit the simulator schedules and charges), not the
+// kernel's 8*workers segments; the bucket prefix between the sweeps
+// touches only the histograms and is not modelled.
 func ISProfile(nKeys, rounds int) sim.Workload {
 	const blockKeys = 4096
 	nb := (nKeys + blockKeys - 1) / blockKeys
