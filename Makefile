@@ -8,7 +8,7 @@ BENCH_PATTERN := BenchmarkSpawn|BenchmarkSpawnBatch|BenchmarkStealThroughput|Ben
 # fine-grained per-chunk tax, the wake latency, and the steal handoff rate.
 GATE_PATTERN := BenchmarkForFineHybrid|BenchmarkWakeToFirstTask|BenchmarkStealThroughput
 
-STRESS_PATTERN := TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDemandQuiesces|TestMeetDemand|TestParkingRetains|TestParkUnpark|TestForErr|TestForEachErr|TestForCtx|TestPanicPropagation|TestStealHalf|TestStealBack|TestRangeSlotAbandon|TestGate|TestConcurrentIndependentLoops|TestCrossLoopCancelStress|TestTryForBackpressure|TestForDegradesInline|TestMetricsConcurrentStress|TestStealWakeChaining|TestTryStealPrefersLocal|TestHierarchicalRangeSteal
+STRESS_PATTERN := TestBorrow|TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDemandQuiesces|TestMeetDemand|TestParkingRetains|TestParkUnpark|TestForErr|TestForEachErr|TestForCtx|TestPanicPropagation|TestStealHalf|TestStealBack|TestRangeSlotAbandon|TestGate|TestConcurrentIndependentLoops|TestCrossLoopCancelStress|TestTryForBackpressure|TestForDegradesInline|TestMetricsConcurrentStress|TestStealWakeChaining|TestTryStealPrefersLocal|TestHierarchicalRangeSteal
 
 # Packages carrying seeded golden datasets (testdata/golden_*.json).
 GOLDEN_PKGS := ./internal/sim/ ./internal/nas/
@@ -19,8 +19,9 @@ GOLDEN_PKGS := ./internal/sim/ ./internal/nas/
 # registration regression drops one.
 LINT_ANALYZERS := 8
 
-## check: vet, build and test everything (tier-1 gate)
+## check: gofmt, vet, build and test everything (tier-1 gate)
 check:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
@@ -52,8 +53,9 @@ race:
 	$(GO) test -race -count=1 $(SCHED_PKGS) ./internal/metrics/
 	$(GO) test -race -count=1 -run 'TestIS|TestNPBIS' ./internal/nas/
 
-## stress: race-detect the cancellation, error-propagation, steal-path
-## and metrics-plane stress tests (public API package included)
+## stress: race-detect the borrow-protocol, cancellation,
+## error-propagation, steal-path and metrics-plane stress tests (public
+## API package included)
 stress:
 	$(GO) test -race -count=1 -run '$(STRESS_PATTERN)' . $(SCHED_PKGS) ./internal/metrics/
 

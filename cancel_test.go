@@ -331,3 +331,62 @@ func BenchmarkForErrFine(b *testing.B) {
 		}
 	}
 }
+
+// TestBorrowCancelEdge: on an idle pool a sole caller's ForErr and ForCtx
+// run on the caller's goroutine under a borrowed worker identity, so their
+// cancel edge (WakeAll) fires while that identity is lent. ForErr's error
+// must come back, no iteration may run twice, no call may hang, and the
+// pool must stay usable. (The pause between calls lets the workers park,
+// so the next call borrows.)
+func TestBorrowCancelEdge(t *testing.T) {
+	p := hybridloop.NewPool(2)
+	defer p.Close()
+	const n = 1 << 15
+	for _, s := range errStrategies {
+		for round := 0; round < 10; round++ {
+			counts := make([]atomic.Int32, n)
+			body := func(lo, hi int) bool {
+				for i := lo; i < hi; i++ {
+					counts[i].Add(1)
+				}
+				return lo <= n/2 && n/2 < hi
+			}
+			time.Sleep(200 * time.Microsecond)
+			err := p.ForErr(0, n, func(lo, hi int) error {
+				if body(lo, hi) {
+					return errBody
+				}
+				return nil
+			}, hybridloop.WithStrategy(s), hybridloop.WithChunk(64))
+			if !errors.Is(err, errBody) {
+				t.Fatalf("%v: ForErr = %v, want %v", s, err, errBody)
+			}
+			time.Sleep(200 * time.Microsecond)
+			ctx, cancel := context.WithCancel(context.Background())
+			err = p.ForCtx(ctx, 0, n, func(lo, hi int) {
+				if body(lo, hi) {
+					cancel()
+					// The cancel edge runs on the context's AfterFunc
+					// goroutine; give it a P while the loop is live.
+					time.Sleep(time.Millisecond)
+				}
+			}, hybridloop.WithStrategy(s), hybridloop.WithChunk(64))
+			cancel()
+			// The context's edge is asynchronous: a loop whose last chunk
+			// finished first may return nil (ForErr's edge is synchronous).
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v: ForCtx = %v, want nil or %v", s, err, context.Canceled)
+			}
+			for i := range counts {
+				if c := counts[i].Load(); c > 2 {
+					t.Fatalf("%v: iteration %d ran %d times over two loops", s, i, c)
+				}
+			}
+		}
+	}
+	var sum atomic.Int64
+	p.For(0, n, func(lo, hi int) { sum.Add(int64(hi - lo)) })
+	if sum.Load() != n {
+		t.Fatalf("pool unusable after the cancel edges: %d of %d iterations", sum.Load(), n)
+	}
+}

@@ -153,7 +153,9 @@ func WithDefaultChunk(chunk int) Option {
 // WithOSThreads locks each worker goroutine to its own OS thread. Use on
 // dedicated multicore machines (ideally with threads pinned to cores by
 // the OS) so worker identity corresponds to a physical core and the
-// hybrid scheme's affinity translates into cache locality.
+// hybrid scheme's affinity translates into cache locality. Work then
+// always runs on the workers' threads: a caller never stands in for a
+// worker (see Run).
 func WithOSThreads() Option {
 	return func(p *Pool) { p.lockThreads = true }
 }
@@ -216,7 +218,10 @@ func (p *Pool) ResetStats() { p.s.ResetStats() }
 
 // Run executes root on a worker and blocks until it returns. Use it for
 // fork-join task parallelism (Worker.Spawn / Worker.Wait) or to host
-// nested parallel loops via For.
+// nested parallel loops via For. When it is the only call in flight on
+// the pool, the calling goroutine stands in for an idle worker and runs
+// root itself under that worker's identity; beside other calls, or under
+// WithOSThreads, a worker goroutine runs it.
 func (p *Pool) Run(root func(w *Worker)) { p.s.Run(root) }
 
 // ForOption configures a single parallel loop.

@@ -10,19 +10,14 @@ import (
 // partition structure A shared by all participating workers plus the
 // bookkeeping to join the loop. It implements sched.HybridLoop so idle
 // workers enter via the DoHybridLoop steal protocol.
+//
+// The body, options and chunk live in rs alone; h.rs.opts is the loop's
+// options.
 type hybridLoop struct {
-	ps    *core.PartitionSet
-	body  BodyW
-	opts  *Options
-	chunk int
-	g     sched.Group // partition completions + outstanding lazy ranges
-	rs    rangeSet    // per-worker steal-half descriptors (doWork state)
-}
-
-// initRanges wires the lazy-splitting state for a pool of p workers. Must
-// be called before the loop is registered or executed.
-func (h *hybridLoop) initRanges(p int) {
-	h.rs.init(p, &h.g, h.body, h.opts, h.chunk)
+	sched.LoopEntry // the registry's record of this loop
+	ps              *core.PartitionSet
+	g               sched.Group // partition completions + outstanding lazy ranges
+	rs              rangeSet    // per-worker steal-half descriptors (doWork state)
 }
 
 // hybridFor is InitHybridLoop (Algorithm 1): build the partition structure,
@@ -36,14 +31,9 @@ func hybridFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	} else {
 		ps = core.NewPartitionSet(begin, end, p)
 	}
-	h := &hybridLoop{
-		ps:    ps,
-		body:  body,
-		opts:  opts,
-		chunk: opts.chunk(end-begin, p),
-	}
+	h := &hybridLoop{ps: ps}
 	h.g.BindCancel(opts.Cancel)
-	h.initRanges(p)
+	h.rs.init(p, &h.g, body, opts, opts.chunk(end-begin, p))
 	// Every partition must be executed before the loop completes; the
 	// group counts partition completions (Theorem 3: exactly R of them)
 	// plus, transiently, the published ranges and stolen halves of the
@@ -77,7 +67,7 @@ func (h *hybridLoop) Live() bool {
 // Stats.LoopEntries counter (which counts TrySteal returning true)
 // always agree.
 func (h *hybridLoop) TrySteal(w *sched.Worker) bool {
-	if h.opts.Cancel.Cancelled() {
+	if h.rs.opts.Cancel.Cancelled() {
 		// A cancelled loop is drained, not entered: claim whatever is
 		// left so the join's partition holds are released, execute
 		// nothing. Returns false — the worker did no loop work.
@@ -100,9 +90,9 @@ func (h *hybridLoop) drain(w *sched.Worker) {
 		if h.ps.Claimed(r) || !h.ps.ClaimPartition(r) {
 			continue
 		}
-		if h.opts.Trace != nil {
+		if h.rs.opts.Trace != nil {
 			part := h.ps.Partition(r)
-			h.opts.Trace.Add(w.ID(), trace.Cancel, int64(part.Begin), int64(part.End))
+			h.rs.opts.Trace.Add(w.ID(), trace.Cancel, int64(part.Begin), int64(part.End))
 		}
 		h.g.Done()
 	}
@@ -118,7 +108,7 @@ func (h *hybridLoop) drain(w *sched.Worker) {
 // Returns whether any partition was claimed.
 func (h *hybridLoop) doHybridLoop(w *sched.Worker, viaSteal bool) bool {
 	c := core.NewClaimer(h.ps, w.ID())
-	cc := h.opts.Cancel
+	cc := h.rs.opts.Cancel
 	any := false
 	failedBefore := 0
 	for {
@@ -136,22 +126,22 @@ func (h *hybridLoop) doHybridLoop(w *sched.Worker, viaSteal bool) bool {
 			// where a thief losing every race would log a phantom entry),
 			// and chain the wakeup — partitions left unclaimed are surplus
 			// another parked worker could be claiming concurrently.
-			if viaSteal && h.opts.Trace != nil {
-				h.opts.Trace.Add(w.ID(), trace.StealEntry, int64(w.ID()), 0)
+			if viaSteal && h.rs.opts.Trace != nil {
+				h.rs.opts.Trace.Add(w.ID(), trace.StealEntry, int64(w.ID()), 0)
 			}
 			if h.ps.Unclaimed() > 0 {
 				w.Pool().Notify()
 			}
 		}
-		if h.opts.Trace != nil {
+		if h.rs.opts.Trace != nil {
 			for f := failedBefore; f < c.Failed(); f++ {
 				// The failed partition indexes are internal to the claim
 				// sequence; only the count is reported.
-				h.opts.Trace.Add(w.ID(), trace.ClaimFail, -1, 0)
+				h.rs.opts.Trace.Add(w.ID(), trace.ClaimFail, -1, 0)
 			}
 			failedBefore = c.Failed()
 			if ok {
-				h.opts.Trace.Add(w.ID(), trace.ClaimOK, int64(r), 0)
+				h.rs.opts.Trace.Add(w.ID(), trace.ClaimOK, int64(r), 0)
 			}
 		}
 		if !ok {

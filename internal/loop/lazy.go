@@ -267,8 +267,9 @@ func (rs *rangeSet) sweepSteal(w *sched.Worker, victims []*sched.Worker, remote 
 // thieves then reach the descriptor slots with a registry probe instead
 // of popping pre-spawned subtree nodes off a deque.
 type lazyLoop struct {
-	rs rangeSet
-	g  sched.Group
+	sched.LoopEntry // the registry's record of this loop
+	rs              rangeSet
+	g               sched.Group
 }
 
 // Live reports whether any published range still holds work. Claim-free

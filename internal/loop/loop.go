@@ -201,9 +201,7 @@ func For(pool *sched.Pool, begin, end int, body Body, opts Options) {
 	if end <= begin {
 		return
 	}
-	pool.Run(func(w *sched.Worker) {
-		WorkerFor(w, begin, end, body, opts)
-	})
+	ForW(pool, begin, end, func(_ *sched.Worker, lo, hi int) { body(lo, hi) }, opts)
 }
 
 // WorkerFor is For callable from inside a running task (nested loops).
@@ -211,18 +209,25 @@ func WorkerFor(w *sched.Worker, begin, end int, body Body, opts Options) {
 	WorkerForW(w, begin, end, func(_ *sched.Worker, lo, hi int) { body(lo, hi) }, opts)
 }
 
-// ForW is For with a worker-aware body.
+// ForW is For with a worker-aware body. The root closure and the loop it
+// runs share one heap copy of opts.
 func ForW(pool *sched.Pool, begin, end int, body BodyW, opts Options) {
 	if end <= begin {
 		return
 	}
 	pool.Run(func(w *sched.Worker) {
-		WorkerForW(w, begin, end, body, opts)
+		workerForW(w, begin, end, body, &opts)
 	})
 }
 
 // WorkerForW is the worker-aware core all loop forms funnel into.
 func WorkerForW(w *sched.Worker, begin, end int, body BodyW, opts Options) {
+	workerForW(w, begin, end, body, &opts)
+}
+
+// workerForW is WorkerForW on the invocation's own copy of the options,
+// which it may rewrite (Auto resolution, the default cancel token).
+func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	if end <= begin {
 		return
 	}
@@ -234,7 +239,7 @@ func WorkerForW(w *sched.Worker, begin, end int, body BodyW, opts Options) {
 		// Resolve Auto into a concrete strategy/chunk/cutoff before
 		// dispatch; finish (run before the deferred LoopEnd) reports the
 		// invocation's outcome back to the tuner.
-		if finish := beginAuto(w, begin, end, &opts); finish != nil {
+		if finish := beginAuto(w, begin, end, opts); finish != nil {
 			defer finish()
 		}
 	}
@@ -252,7 +257,7 @@ func WorkerForW(w *sched.Worker, begin, end int, body BodyW, opts Options) {
 		}
 	}()
 	if end-begin <= opts.SerialCutoff {
-		runChunk(w, body, &opts, begin, end)
+		runChunk(w, body, opts, begin, end)
 		return
 	}
 	if opts.Cancel == nil {
@@ -271,15 +276,15 @@ func WorkerForW(w *sched.Worker, begin, end int, body BodyW, opts Options) {
 	}
 	switch opts.Strategy {
 	case Static:
-		staticFor(w, begin, end, body, &opts)
+		staticFor(w, begin, end, body, opts)
 	case DynamicStealing:
-		stealingFor(w, begin, end, body, &opts)
+		stealingFor(w, begin, end, body, opts)
 	case DynamicSharing:
-		sharingFor(w, begin, end, body, &opts)
+		sharingFor(w, begin, end, body, opts)
 	case Guided:
-		guidedFor(w, begin, end, body, &opts)
+		guidedFor(w, begin, end, body, opts)
 	case Hybrid:
-		hybridFor(w, begin, end, body, &opts)
+		hybridFor(w, begin, end, body, opts)
 	default:
 		panic(fmt.Sprintf("loop: unknown strategy %d", int(opts.Strategy)))
 	}

@@ -35,18 +35,13 @@ func TestStealEntryOnlyOnClaim(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		ps := core.NewPartitionSet(0, 64, 4)
 		tr := trace.New(256)
-		h := &hybridLoop{
-			ps:   ps,
-			body: func(w *sched.Worker, lo, hi int) {},
-			opts: &Options{Trace: tr, Chunk: 64},
-			// chunk >= the whole range: claimed partitions execute inline
-			// with no published range descriptors and no nested spawns, so
-			// TrySteal is safe to call from the test goroutine (it touches
-			// neither the worker's deque nor its RNG — the steal-half sweep
-			// bails out on active == 0 before selecting a victim).
-			chunk: 64,
-		}
-		h.initRanges(pool.P())
+		h := &hybridLoop{ps: ps}
+		// chunk >= the whole range: claimed partitions execute inline
+		// with no published range descriptors and no nested spawns, so
+		// TrySteal is safe to call from the test goroutine (it touches
+		// neither the worker's deque nor its RNG — the steal-half sweep
+		// bails out on active == 0 before selecting a victim).
+		h.rs.init(pool.P(), &h.g, func(w *sched.Worker, lo, hi int) {}, &Options{Trace: tr, Chunk: 64}, 64)
 		h.g.Add(ps.R())
 
 		raced := make(chan struct{})

@@ -97,9 +97,10 @@ func BenchmarkStealThroughput(b *testing.B) {
 }
 
 // BenchmarkWakeToFirstTask measures the external-submission round trip on
-// an otherwise idle pool: submit, wake a parked worker, execute, signal
-// completion. Dominated by the park/notify handshake; with the pooled
-// root call and the single-word park this must stay allocation-free.
+// an otherwise idle pool. A sole caller on an idle pool borrows a parked
+// worker's identity and runs the root itself (Pool.Run), so this measures
+// the borrow/hand-back round trip; a thread-locked pool still takes the
+// submit/wake/execute/signal path. Both must stay allocation-free.
 func BenchmarkWakeToFirstTask(b *testing.B) {
 	p := runtime.NumCPU()
 	if p < 4 {
@@ -114,24 +115,55 @@ func BenchmarkWakeToFirstTask(b *testing.B) {
 	}
 }
 
-// TestRunAllocFree pins the allocation count of the external-submission
-// round trip — the full park/wake/execute/re-park cycle — at zero per
-// Run: the root-call scratch is pooled and the parking handshake is one
-// atomic word, so steady-state submission must not touch the heap.
-// (AllocsPerRun reports the rounded-down average, so the occasional
-// sync.Pool refill after a GC does not flake the zero.)
+// TestRunAllocFree pins the allocation count of an external Run at zero,
+// on both of its paths: the borrow/hand-back round trip a sole caller
+// takes on an idle pool, and the submission round trip — the full
+// park/wake/execute/re-park cycle — a thread-locked pool takes. The
+// root-call scratch is pooled and both handshakes are one atomic word, so
+// steady-state submission must not touch the heap. (AllocsPerRun reports
+// the rounded-down average, so the occasional sync.Pool refill after a GC
+// does not flake the zero.)
 func TestRunAllocFree(t *testing.T) {
 	p := runtime.NumCPU()
 	if p < 4 {
 		p = 4
 	}
-	pool := sched.NewPool(p, 1)
+	for _, c := range []struct {
+		name string
+		pool *sched.Pool
+	}{{"borrow", sched.NewPool(p, 1)}, {"submit", sched.NewPoolLocked(p, 1)}} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			c.pool.Run(func(w *sched.Worker) {})
+		})
+		c.pool.Close()
+		if allocs != 0 {
+			t.Errorf("Run (%s path) allocates %.1f objects per op, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestForAllocs pins the allocations of one fine-grained Hybrid loop.For
+// on an idle pool at 11: the root closure and its one copy of the options,
+// the body adapter, the cancel token, the partition set (3), the loop
+// descriptor, the range slots and their eager-fallback task, and one
+// registry snapshot — the loop's registry entry is embedded in its
+// descriptor, and unregistering the last loop publishes nil. The public
+// Pool.For adds one more, its own options. Lower is welcome (update the
+// pin); higher is a regression.
+func TestForAllocs(t *testing.T) {
+	pool := sched.NewPool(2, 1)
 	defer pool.Close()
+	x := make([]float64, 1<<14)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x[i]++
+		}
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		pool.Run(func(w *sched.Worker) {})
+		loop.For(pool, 0, len(x), body, loop.Options{Strategy: loop.Hybrid, Chunk: 64})
 	})
-	if allocs != 0 {
-		t.Errorf("Run (park/unpark cycle) allocates %.1f objects per op, want 0", allocs)
+	if allocs > 11 {
+		t.Errorf("loop.For allocates %.0f objects per call, want at most 11", allocs)
 	}
 }
 

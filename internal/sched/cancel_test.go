@@ -179,10 +179,10 @@ func TestDemandRetiredOnPark(t *testing.T) {
 
 // idleLoop is a registry entry that never feeds a thief; it exists so the
 // unregister path can be driven directly.
-type idleLoop struct{}
+type idleLoop struct{ LoopEntry }
 
-func (idleLoop) Live() bool            { return false }
-func (idleLoop) TrySteal(*Worker) bool { return false }
+func (*idleLoop) Live() bool            { return false }
+func (*idleLoop) TrySteal(*Worker) bool { return false }
 
 // TestDemandQuiescesAfterLastUnregister: registering and unregistering a
 // loop (waking workers into failed sweeps along the way) must leave no
@@ -192,7 +192,7 @@ func (idleLoop) TrySteal(*Worker) bool { return false }
 func TestDemandQuiescesAfterLastUnregister(t *testing.T) {
 	p := NewPool(2, 3)
 	defer p.Close()
-	var l idleLoop
+	l := &idleLoop{}
 	p.RegisterLoop(l)
 	p.UnregisterLoop(l)
 	if !waitDemandZero(p) {

@@ -147,13 +147,16 @@ func TestParkingRetainsOtherWorkersDemand(t *testing.T) {
 
 // stubLoop is a registry entry with controllable liveness for deficit-
 // order unit tests; it never actually feeds a thief.
-type stubLoop struct{ live bool }
+type stubLoop struct {
+	LoopEntry
+	live bool
+}
 
 func (l *stubLoop) Live() bool            { return l.live }
 func (l *stubLoop) TrySteal(*Worker) bool { return false }
 
-func mkEntry(id uint64, weight int32, served int64, live bool) *loopEntry {
-	e := &loopEntry{l: &stubLoop{live: live}, id: id, weight: weight}
+func mkEntry(id uint64, weight int32, served int64, live bool) *LoopEntry {
+	e := &LoopEntry{l: &stubLoop{live: live}, id: id, weight: weight}
 	e.served.Store(served)
 	return e
 }
@@ -164,23 +167,23 @@ func mkEntry(id uint64, weight int32, served int64, live bool) *loopEntry {
 func TestNextLoopIndexDeficitOrder(t *testing.T) {
 	cases := []struct {
 		name    string
-		entries []*loopEntry
+		entries []*LoopEntry
 		tried   uint64
 		want    int
 	}{
 		{"fresh loop beats served giant",
-			[]*loopEntry{mkEntry(1, 1, 100, true), mkEntry(2, 1, 0, true)}, 0, 1},
+			[]*LoopEntry{mkEntry(1, 1, 100, true), mkEntry(2, 1, 0, true)}, 0, 1},
 		{"weight scales entitlement",
 			// 10/10 = 1 < 2/1 = 2: the weighted loop is less over-served.
-			[]*loopEntry{mkEntry(1, 10, 10, true), mkEntry(2, 1, 2, true)}, 0, 0},
+			[]*LoopEntry{mkEntry(1, 10, 10, true), mkEntry(2, 1, 2, true)}, 0, 0},
 		{"tie goes to registration order",
-			[]*loopEntry{mkEntry(1, 1, 5, true), mkEntry(2, 1, 5, true)}, 0, 0},
+			[]*LoopEntry{mkEntry(1, 1, 5, true), mkEntry(2, 1, 5, true)}, 0, 0},
 		{"dead loops skipped",
-			[]*loopEntry{mkEntry(1, 1, 0, false), mkEntry(2, 1, 50, true)}, 0, 1},
+			[]*LoopEntry{mkEntry(1, 1, 0, false), mkEntry(2, 1, 50, true)}, 0, 1},
 		{"tried loops skipped",
-			[]*loopEntry{mkEntry(1, 1, 0, true), mkEntry(2, 1, 50, true)}, 1 << 0, 1},
+			[]*LoopEntry{mkEntry(1, 1, 0, true), mkEntry(2, 1, 50, true)}, 1 << 0, 1},
 		{"nothing left",
-			[]*loopEntry{mkEntry(1, 1, 0, false), mkEntry(2, 1, 0, true)}, 1 << 1, -1},
+			[]*LoopEntry{mkEntry(1, 1, 0, false), mkEntry(2, 1, 0, true)}, 1 << 1, -1},
 	}
 	for _, c := range cases {
 		if got := nextLoopIndex(c.entries, c.tried); got != c.want {
@@ -196,7 +199,7 @@ func TestNextLoopIndexDeficitOrder(t *testing.T) {
 func TestDeficitOrderConvergesToWeightedShares(t *testing.T) {
 	a := mkEntry(1, 3, 0, true)
 	b := mkEntry(2, 1, 0, true)
-	entries := []*loopEntry{a, b}
+	entries := []*LoopEntry{a, b}
 	for i := 0; i < 400; i++ {
 		k := nextLoopIndex(entries, 0)
 		entries[k].served.Add(1)

@@ -21,7 +21,11 @@
 //
 // # Wake policy
 //
-// Idle workers park on a per-worker wake-token channel. Making work
+// While one caller drives the pool, idle workers stay reachable without a
+// wake for a short while: a worker that finds nothing keeps sweeping for
+// parkSpin (20 µs), yielding its P between sweeps, so the next loop of an
+// iterative caller usually needs no wake to recruit it. Only then does a
+// worker park, on a per-worker wake-token channel. Making work
 // visible (Spawn, external submission, loop registration) wakes exactly
 // ONE parked worker, chosen round-robin — never all of them, avoiding the
 // thundering herd of a broadcast (cf. Rokos et al., "An Interrupt-Driven
@@ -42,12 +46,18 @@
 // guarantees a future full sweep by that worker).
 //
 // Parking itself is a futex-style single-word wait: each worker carries a
-// four-state word (active → parking → parked, with notified as the wake
-// edge from either of the latter two). The uncontended wake is one CAS;
-// only a wake that catches the worker fully parked touches the worker's
-// capacity-1 token channel, and a wake that lands during the parking
-// announcement is consumed without any channel traffic at all. No path
-// allocates. See Worker.wake and Worker.mainLoop.
+// state word (active → parking → parked, or waitparked inside a join,
+// with notified as the wake edge). The uncontended wake is one CAS; only
+// a wake that catches the worker fully parked touches a capacity-1 token
+// channel, and a wake that lands during the parking announcement is
+// consumed without any channel traffic at all. No path allocates. See
+// Worker.wake and Worker.mainLoop.
+//
+// The caller is a worker: a Run with no other Run in flight wakes nobody.
+// It borrows a parked worker's identity (parked → lent) and runs the root
+// on the calling goroutine as that worker, so a loop that fits in the
+// caller never leaves it and its join needs no cross-goroutine wake. See
+// Pool.borrow and Pool.handBack.
 package sched
 
 import (
@@ -162,6 +172,9 @@ func (g *Group) Protect(fn func()) {
 // workers enter a live hybrid loop with their own worker ID. It is
 // implemented by the hybrid strategy in internal/loop; sched depends only
 // on this abstraction.
+//
+// Implementations embed a LoopEntry, the registry's record of the loop, so
+// registering a loop allocates no entry of its own.
 type HybridLoop interface {
 	// TrySteal gives worker w a chance to enter the loop per the
 	// DoHybridLoop steal protocol. It returns true if the worker did work
@@ -169,6 +182,8 @@ type HybridLoop interface {
 	TrySteal(w *Worker) bool
 	// Live reports whether the loop may still have unclaimed partitions.
 	Live() bool
+	// entry is promoted from the embedded LoopEntry.
+	entry() *LoopEntry
 }
 
 // Stats aggregates scheduler counters across workers.
@@ -252,24 +267,57 @@ type Pool struct {
 	// frame with a Swap/CAS pair instead of sync.Pool's pin/unpin round
 	// trip. Concurrent Runs overflow to rootCallPool.
 	rootCache atomic.Pointer[rootCall]
+	// runs counts the Runs in flight. With at most one (solo), the caller
+	// borrows and idle workers spin; see borrow and spin.
+	runs atomic.Int64
+	// lockThreads records NewPoolLocked/WithOSThreads: each worker runs on
+	// its own locked OS thread, so Run never borrows an identity (the
+	// borrowed work would run on the caller's thread). Immutable.
+	lockThreads bool
 
-	loopsMu    sync.Mutex                   // serializes Register/Unregister
-	loops      atomic.Pointer[[]*loopEntry] // immutable snapshot, lock-free probes
-	nextLoopID atomic.Uint64                // per-pool loop IDs for attribution
+	loopsMu    sync.Mutex               // serializes Register/Unregister
+	loops      atomic.Pointer[loopSnap] // immutable snapshot, lock-free probes; nil when empty
+	nextLoopID atomic.Uint64            // per-pool loop IDs for attribution
 }
 
-// loopEntry is one registered loop plus the fairness metadata the steal
+// LoopEntry is one registered loop plus the fairness metadata the steal
 // protocol keys on: a pool-unique ID (registration order, the tiebreak),
 // a relative weight, and the count of successful steal-protocol entries
 // served to the loop so far. Idle workers probe live entries in ascending
 // served/weight order, so a freshly registered small loop (served = 0)
 // outranks a giant loop that has already absorbed many workers — the
 // deficit-weighted round-robin that keeps one loop from starving the rest.
-type loopEntry struct {
+//
+// Every HybridLoop embeds one; the fields are written once, by the
+// registration that publishes the entry, and a loop is registered at most
+// once.
+type LoopEntry struct {
 	l      HybridLoop
 	id     uint64
 	weight int32
 	served atomic.Int64
+}
+
+func (e *LoopEntry) entry() *LoopEntry { return e }
+
+// loopSnap is one immutable registry snapshot. Registries of up to
+// len(inline) loops — every single-tenant program, and a gated server's
+// handful of in-flight loops — keep their entries inside the snapshot, so
+// publishing one costs exactly one allocation.
+type loopSnap struct {
+	list   []*LoopEntry
+	inline [4]*LoopEntry
+}
+
+// newLoopSnap returns a snapshot with room for n entries.
+func newLoopSnap(n int) *loopSnap {
+	s := &loopSnap{}
+	if n <= len(s.inline) {
+		s.list = s.inline[:n]
+	} else {
+		s.list = make([]*LoopEntry, n)
+	}
+	return s
 }
 
 // LoopInfo is a snapshot of one registered loop's fairness state, for
@@ -309,7 +357,7 @@ func newPool(p int, seed uint64, lockThreads bool, pl *Placement) *Pool {
 	if p < 1 {
 		panic(fmt.Sprintf("sched: NewPool with p = %d", p))
 	}
-	pool := &Pool{placement: pl}
+	pool := &Pool{placement: pl, lockThreads: lockThreads}
 	master := rng.NewSplitMix64(seed)
 	pool.workers = make([]*Worker, p)
 	for i := 0; i < p; i++ {
@@ -384,12 +432,13 @@ func (p *Pool) Close() {
 }
 
 // SetTimeAccounting enables (or disables) per-worker busy/idle time
-// accounting. Off by default: with it off the scheduler reads no clocks
-// at all; with it on, the monotonic clock is read once per busy↔idle
-// transition — a burst of consecutive tasks costs two reads total, so
-// even fine-grained loops see no per-task overhead. Higher layers that
-// want the imbalance signal (the adaptive autotuner, Stats consumers)
-// turn it on at pool construction.
+// accounting. Off by default: with it off the scheduler reads the clock
+// only to bound the idle spin of a pool with one caller (see spin); with
+// it on, the monotonic clock is also read once per busy↔idle transition —
+// a burst of consecutive tasks costs two reads total, so even
+// fine-grained loops see no per-task overhead. Higher layers that want
+// the imbalance signal (the adaptive autotuner, Stats consumers) turn it
+// on at pool construction.
 func (p *Pool) SetTimeAccounting(on bool) { p.timeAcct.Store(on) }
 
 // TimeAccounting reports whether busy/idle time accounting is enabled.
@@ -488,40 +537,57 @@ func (p *Pool) Placement() *Placement { return p.placement }
 type rootCall struct {
 	root func(w *Worker)
 	tp   *taskPanic
-	done chan struct{} // capacity 1: the worker's send never blocks
-	task Task          // pre-bound closure over this frame
+	// done is the frame's capacity-1 channel: the completion signal on the
+	// submit path (the worker's send never blocks), and the borrower's own
+	// park channel on the borrow path (see Worker.guest).
+	done chan struct{}
+	task Task // pre-bound closure over this frame
 }
 
 var rootCallPool = sync.Pool{New: func() any {
 	rc := &rootCall{done: make(chan struct{}, 1)}
 	rc.task = func(w *Worker) {
-		defer func() {
-			if r := recover(); r != nil {
-				rc.tp = &taskPanic{value: r, stack: debug.Stack()}
-			}
-			// The send is the frame's last touch by the worker; the
-			// receive in Run orders everything before it, so the caller's
-			// reads of rc.tp and its reset-and-recycle are safe.
-			rc.done <- struct{}{}
-		}()
-		rc.root(w)
+		rc.call(w)
+		// The send is the frame's last touch by the worker; the receive in
+		// Run orders everything before it, so the caller's reads of rc.tp
+		// and its reset-and-recycle are safe.
+		rc.done <- struct{}{}
 	}
 	return rc
 }}
 
-// Run executes root on some worker and blocks until it (and everything it
-// waited for) returns. It is the entry point for code outside the pool.
-// A panic inside root (including a *TaskPanicError re-raised by a Wait)
-// propagates to the Run caller rather than killing a worker. Run on a
-// closed pool panics.
+// call runs the frame's root on w, capturing a panic into the frame.
+func (rc *rootCall) call(w *Worker) {
+	defer func() {
+		if r := recover(); r != nil {
+			rc.tp = &taskPanic{value: r, stack: debug.Stack()}
+		}
+	}()
+	rc.root(w)
+}
+
+// Run executes root and blocks until it (and everything it waited for)
+// returns. It is the entry point for code outside the pool. When it is
+// the only Run in flight, a worker is parked and the workers are not
+// locked to OS threads, the caller borrows that worker's identity and
+// runs root itself (see borrow); otherwise root is submitted to the pool
+// and the caller blocks until a worker has run it. A panic inside root (including a *TaskPanicError
+// re-raised by a Wait) propagates to the Run caller rather than killing a
+// worker. Run on a closed pool panics.
 func (p *Pool) Run(root func(w *Worker)) {
 	rc := p.rootCache.Swap(nil)
 	if rc == nil {
 		rc = rootCallPool.Get().(*rootCall)
 	}
 	rc.root = root
-	p.submit(rc.task)
-	<-rc.done
+	p.runs.Add(1)
+	if w := p.borrow(); w != nil {
+		p.runLent(w, rc)
+	} else {
+		p.submit(rc.task)
+		<-rc.done
+	}
+	p.runs.Add(-1)
 	tp := rc.tp
 	rc.root, rc.tp = nil, nil
 	if !p.rootCache.CompareAndSwap(nil, rc) {
@@ -532,6 +598,81 @@ func (p *Pool) Run(root func(w *Worker)) {
 			panic(tpe) // already wrapped by a Wait inside the pool
 		}
 		panic(&TaskPanicError{Value: tp.value, Stack: tp.stack})
+	}
+}
+
+// solo reports whether at most one Run is in flight: the iterative regime,
+// in which a Run borrows and idle workers spin.
+func (p *Pool) solo() bool { return p.runs.Load() <= 1 }
+
+// borrow reserves the identity of a parked worker for the calling
+// goroutine: one wParked→wLent CAS, after which no wake, notify or direct
+// handoff can target the worker (wake treats lent as running) and its
+// displaced goroutine stays blocked on w.park without touching the
+// identity. The lent identity leaves the parked census — it is working,
+// not idle capacity.
+//
+// It returns nil — Run then submits — on a thread-locked pool (the
+// borrowed work would run on the caller's thread, not the worker's), when
+// no worker is parked, once Close has begun (the submit path is the one
+// Close's final drain accounts for: a Run that loses the race panics),
+// and unless the pool is solo (this is the only Run). A borrowing caller never blocks between its loops, so with several
+// callers the Go scheduler, not the pool's cross-loop fairness, would
+// divide the CPU among them: on serve_mixed a priority-1 batch tenant that
+// borrowed kept a P and ran twenty times its share of loops.
+func (p *Pool) borrow() *Worker {
+	if !p.solo() || p.lockThreads || p.nparked.Load() == 0 || p.quitting.Load() {
+		return nil
+	}
+	// Fixed order, like submit's handoff scan: an iterative caller keeps
+	// borrowing the same identity, so its partitions keep their worker ID.
+	for _, w := range p.workers {
+		if w.state.Load() == wParked && w.state.CompareAndSwap(wParked, wLent) {
+			p.nparked.Add(-1)
+			return w
+		}
+	}
+	return nil
+}
+
+// runLent runs rc's root on the calling goroutine as w, a borrowed
+// identity: its ID, deque, RangeSlot index, RNG and counters. A join
+// inside root parks on rc.done, never on w.park, where the displaced
+// goroutine is blocked. The run's time is credited to w as busy and
+// recorded as lent, so the displaced goroutine does not count it as idle.
+func (p *Pool) runLent(w *Worker, rc *rootCall) {
+	w.guest = rc.done
+	acct := p.timeAcct.Load()
+	var start time.Time
+	if acct {
+		start = time.Now()
+	}
+	w.tasks.Add(1)
+	rc.call(w)
+	if acct {
+		d := time.Since(start).Nanoseconds()
+		w.busyNanos.Add(d)
+		w.lentNanos += d
+	}
+	w.guest = nil
+	p.handBack(w)
+}
+
+// handBack returns a lent identity to its parked goroutine. The identity
+// rejoins the parked census before the wLent→wParked CAS, and the checks
+// after it complete the announce-then-sweep handshake for everything a
+// wake could only have aimed at this worker while it was lent (such a
+// wake was a no-op): pinned tasks, deque leftovers, queued submissions
+// and the shutdown edge. A producer that saw lent published its work
+// before this CAS, so the checks find it and wake the worker; one that
+// sees parked wakes it itself.
+func (p *Pool) handBack(w *Worker) {
+	w.noteFed()
+	w.dq.Clean()
+	p.nparked.Add(1)
+	w.state.CompareAndSwap(wLent, wParked)
+	if w.pinnedN.Load() != 0 || !w.dq.Empty() || p.injectedN.Load() != 0 || p.quitting.Load() {
+		w.wake()
 	}
 }
 
@@ -786,54 +927,61 @@ func (p *Pool) RegisterLoop(l HybridLoop) {
 // idle workers probe live loops in ascending served/weight order, so a
 // loop with weight 2 is entitled to roughly twice the steal-protocol
 // entries of a weight-1 loop under contention. Weights below 1 are
-// clamped to 1.
+// clamped to 1. The loop's embedded LoopEntry is the registry record, so
+// the only allocation is the published snapshot.
 func (p *Pool) RegisterLoopWeighted(l HybridLoop, weight int) {
 	if weight < 1 {
 		weight = 1
 	}
-	e := &loopEntry{l: l, id: p.nextLoopID.Add(1), weight: int32(weight)}
+	e := l.entry()
+	e.l, e.id, e.weight = l, p.nextLoopID.Add(1), int32(weight)
 	p.loopsMu.Lock()
-	old := p.loops.Load()
-	var ls []*loopEntry
-	if old != nil {
-		ls = append(ls, *old...)
-	}
-	ls = append(ls, e)
-	p.loops.Store(&ls)
+	old := p.loopList()
+	s := newLoopSnap(len(old) + 1)
+	copy(s.list, old)
+	s.list[len(old)] = e
+	p.loops.Store(s)
 	p.loopsMu.Unlock()
 	p.notify()
 }
 
 // UnregisterLoop removes a hybrid loop from the steal protocol registry.
-// No demand cleanup is needed on the last unregister anymore: the demand
-// count is exact per-worker accounting that a hungry worker retires
-// itself when it finds work or parks, so it cannot go stale across loops
-// the way the old sticky flag could.
+// Removing the last loop publishes nil rather than an empty snapshot, so
+// the register/unregister round trip of a lone loop allocates once. No
+// demand cleanup is needed on the last unregister: the demand count is
+// exact per-worker accounting that a hungry worker retires itself when it
+// finds work or parks, so it cannot go stale across loops.
 func (p *Pool) UnregisterLoop(l HybridLoop) {
+	e := l.entry()
 	p.loopsMu.Lock()
 	defer p.loopsMu.Unlock()
-	old := p.loops.Load()
-	if old == nil {
+	old := p.loopList()
+	i := 0
+	for i < len(old) && old[i] != e {
+		i++
+	}
+	switch {
+	case i == len(old):
+		return
+	case len(old) == 1:
+		p.loops.Store(nil)
 		return
 	}
-	ls := make([]*loopEntry, 0, len(*old))
-	for _, e := range *old {
-		if e.l != l {
-			ls = append(ls, e)
-		}
-	}
-	p.loops.Store(&ls)
+	s := newLoopSnap(len(old) - 1)
+	copy(s.list, old[:i])
+	copy(s.list[i:], old[i+1:])
+	p.loops.Store(s)
 }
 
 // loopList returns the current registered-loop snapshot without copying:
-// Register/Unregister publish fresh immutable slices, so the per-probe
+// Register/Unregister publish fresh immutable snapshots, so the per-probe
 // copy the old mutex+snapshot scheme made on every idle probe is gone.
-func (p *Pool) loopList() []*loopEntry {
-	ls := p.loops.Load()
-	if ls == nil {
+func (p *Pool) loopList() []*LoopEntry {
+	s := p.loops.Load()
+	if s == nil {
 		return nil
 	}
-	return *ls
+	return s.list
 }
 
 // LiveLoops snapshots the fairness state of every registered loop, for
@@ -860,36 +1008,50 @@ func (p *Pool) LoopsRegistered() int64 { return int64(p.nextLoopID.Load()) }
 // Worker park states: the single word the futex-style park/wake protocol
 // runs on. Transitions:
 //
-//	active  → parking   (owner announces intent, then final-sweeps)
-//	parking → parked    (owner CAS: the sweep found nothing, block)
-//	parking → notified  (waker CAS: wake landed during the announcement —
-//	                     the owner's failed parking→parked CAS consumes it
-//	                     with no channel traffic at all)
-//	parked  → notified  (waker CAS + one channel send to unblock the owner)
-//	*       → active    (owner store on every wake/retract path)
+//	active     → parking    (owner announces intent, then final-sweeps)
+//	parking    → parked     (owner CAS, mainLoop: the sweep found nothing, block)
+//	parking    → waitparked (owner CAS, Wait: the same, inside a join)
+//	parking    → notified   (waker CAS: wake landed during the announcement —
+//	                         the owner's failed park CAS consumes it with no
+//	                         channel traffic at all)
+//	parked     → notified   (waker CAS + one channel send to unblock the owner)
+//	waitparked → notified   (likewise, on the parker's own channel)
+//	parked     → lent       (Run borrows the idle identity: see Pool.borrow)
+//	lent       → parked     (the borrower hands it back: see Pool.handBack)
+//	*          → active     (owner store on every wake/retract path)
+//	*          → lent       (the borrower's store on its wake/retract paths)
 //
-// Only the transition out of parked touches the capacity-1 token channel,
-// and the notified state admits at most one in-flight send, so the send
-// never blocks and no token can go stale. The uncontended wake is one CAS
-// plus one buffered-channel send; a wake that observes active or notified
-// is a no-op.
+// Only the transitions out of parked and waitparked touch a capacity-1
+// token channel, and the notified state admits at most one in-flight
+// send, so the send never blocks and no token can go stale. The
+// uncontended wake is one CAS plus one buffered-channel send; a wake that
+// observes active, lent or notified is a no-op.
+//
+// Only an idle worker (parked, inside mainLoop) can be borrowed or handed
+// a submission; a worker parked inside Wait has a join to resume, so it
+// parks as waitparked, and a borrower joining inside its Run parks as
+// waitparked too — on its own channel (see Worker.guest), since the
+// displaced goroutine is still blocked on w.park.
 const (
 	wActive uint32 = iota
 	wParking
 	wParked
 	wNotified
+	wLent
+	wWaitParked
 )
 
 // wake delivers a wake to w. It returns true if w was parked or parking —
 // the wake was delivered, or one was already pending, and w's next full
 // sweep is ordered after the caller's work publication — and false if w
-// is active (running; it will announce-then-sweep before ever blocking).
+// is active or lent (running; it will announce-then-sweep before ever
+// blocking, or be handed back through handBack's checks).
 //
 //sched:noalloc
 func (w *Worker) wake() bool {
 	for {
 		switch w.state.Load() {
-		case wActive:
+		case wActive, wLent:
 			return false
 		case wNotified:
 			return true // pending wake: w is committed to a full re-sweep
@@ -902,16 +1064,34 @@ func (w *Worker) wake() bool {
 				w.park <- struct{}{} // capacity 1, sole sender: never blocks
 				return true
 			}
+		case wWaitParked:
+			if w.state.CompareAndSwap(wWaitParked, wNotified) {
+				// The parker wrote guest before announcing and does not
+				// touch it while blocked, so the CAS orders this read.
+				w.parkChan() <- struct{}{}
+				return true
+			}
 		}
 	}
+}
+
+// parkChan is the channel the identity's current holder blocks on inside
+// Wait: the borrower's own channel while the identity is lent, else the
+// worker's.
+func (w *Worker) parkChan() chan struct{} {
+	if w.guest != nil {
+		return w.guest
+	}
+	return w.park
 }
 
 // Worker is a surrogate of a processing core (Section II): a goroutine
 // with its own deque participating in randomized work stealing.
 //
 // Workers are allocated individually but land in the same heap size
-// class, so the struct is padded to a cache-line multiple (checked by
-// schedlint's cacheline analyzer) to keep one worker's hot counters —
+// class, so the struct is kept at a cache-line multiple (checked by
+// schedlint's cacheline analyzer; pad it if a field change breaks that)
+// to keep one worker's hot counters —
 // tasks/steals are bumped on every executed task — from sharing a
 // boundary line with a neighbor's.
 //
@@ -919,9 +1099,12 @@ func (w *Worker) wake() bool {
 type Worker struct {
 	id     int
 	socket int32 // placement socket housing this worker (0 when flat)
-	pool   *Pool
-	dq     *deque.Deque
-	rng    *rng.Xoshiro256
+	// injectDepth is the worker's current nesting depth of inline
+	// HelpOneInjected detours. Private to the identity's holder.
+	injectDepth int32
+	pool        *Pool
+	dq          *deque.Deque
+	rng         *rng.Xoshiro256
 	// localVictims/remoteVictims are the precomputed hierarchical victim
 	// lists: every other worker on this worker's socket, then every worker
 	// on a remote socket (ascending IDs, self excluded). Immutable after
@@ -929,7 +1112,17 @@ type Worker struct {
 	// localVictims holds all P−1 others.
 	localVictims  []*Worker
 	remoteVictims []*Worker
-	park          chan struct{} // capacity-1 unblock channel (parked→notified only)
+	park          chan struct{} // capacity-1 unblock channel of the worker's own goroutine
+	// guest is the borrower's park channel while the identity is lent
+	// (Pool.runLent), nil otherwise. Written only by the identity's
+	// holder; read by a waker after its waitparked→notified CAS.
+	guest chan struct{}
+	// lentNanos is the time the identity spent lent since its goroutine
+	// parked (time accounting only): the goroutine subtracts it from its
+	// parked interval on wake, since a borrower was busy as this worker.
+	// Written by borrowers, read by the woken goroutine; the state word's
+	// lent→parked→notified chain orders the accesses.
+	lentNanos int64
 	// state is the futex-style parking word; the spec below formalizes
 	// the narrative protocol at wake, and schedlint's protocol analyzer
 	// checks every atomic op on this field against it module-wide.
@@ -939,13 +1132,25 @@ type Worker struct {
 	//sched:state parking = wParking
 	//sched:state parked = wParked
 	//sched:state notified = wNotified
+	//sched:state lent = wLent
+	//sched:state waitparked = wWaitParked
 	//sched:trans any -> parking
 	//sched:trans parking -> parked
+	//sched:trans parking -> waitparked
 	//sched:trans parking -> notified
 	//sched:trans parked -> notified
+	//sched:trans waitparked -> notified
 	//sched:trans parked -> active
+	//sched:trans parked -> lent
+	//sched:trans lent -> parked
 	//sched:trans any -> active
-	state atomic.Uint32 // wActive/wParking/wParked/wNotified (see wake)
+	//sched:trans any -> lent
+	state atomic.Uint32 // see the w* constants and wake
+	// hungry marks a worker whose last steal sweep found nothing and that
+	// has not yet acquired work or parked; it mirrors one unit of the
+	// pool's demand count. Private to the identity's holder (the worker's
+	// goroutine, or a borrower); the shared signal is Pool.demand.
+	hungry bool
 	// handoff carries a task delivered by Pool.submit's direct-handoff
 	// fast path. Plain field: a producer writes it only between winning
 	// the exclusive wParked→wNotified reservation CAS and its token send,
@@ -953,14 +1158,6 @@ type Worker struct {
 	// paths where no reservation can have happened), so the channel
 	// orders every cross-goroutine access.
 	handoff Task
-	// hungry marks a worker whose last steal sweep found nothing and that
-	// has not yet acquired work or parked; it mirrors one unit of the
-	// pool's demand count. Worker-private: only the owning goroutine reads
-	// or writes it (the shared signal is Pool.demand).
-	hungry bool
-	// injectDepth is the worker's current nesting depth of inline
-	// HelpOneInjected detours. Worker-private.
-	injectDepth int32
 
 	pinnedMu   sync.Mutex
 	pinned     []spawned    // worker-targeted tasks; FIFO, not stealable
@@ -980,8 +1177,6 @@ type Worker struct {
 	parks             atomic.Int64 // committed park transitions (blocking slow path only)
 	busyNanos         atomic.Int64 // time in busy bursts (timeAcct only)
 	idleNanos         atomic.Int64 // time parked (timeAcct only)
-
-	_ [8]byte // pad to a cache-line multiple (//sched:cacheline)
 }
 
 // NoteRangeSteal records one successful steal-half of a published range
@@ -1184,12 +1379,15 @@ func (w *Worker) takePinned() (spawned, bool) {
 // *TaskPanicError carrying the first captured panic.
 //
 // A waiter that finds nothing runnable parks on its own state word, like
-// mainLoop — not on the old Gosched/sleep polling ladder. It registers
-// itself in the group's waiter slot first, so the Done that finishes the
-// group wakes it directly; and it announces through nparked, so ordinary
-// notify/WakeAll traffic (new spawns, injected roots, the cancel edge)
-// reaches it too — a parked waiter is genuine idle capacity, and any wake
-// sends it through a full runOne sweep before it can block again.
+// mainLoop — not on the old Gosched/sleep polling ladder. It registers itself in the group's waiter slot first,
+// so the Done that finishes the group wakes it directly; and it announces
+// through nparked, so ordinary notify/WakeAll traffic (new spawns,
+// injected roots, the cancel edge) reaches it too — a parked waiter is
+// genuine idle capacity, and any wake sends it through a full runOne
+// sweep before it can block again. It parks as waitparked, on parkChan:
+// a joining worker is neither borrowable nor a handoff target, and a
+// borrower joining inside its Run sleeps on its own channel.
+//
 //sched:noalloc
 func (w *Worker) Wait(g *Group) {
 	backoff := 0
@@ -1220,22 +1418,12 @@ func (w *Worker) Wait(g *Group) {
 			w.unpark()
 			continue
 		}
-		if w.state.CompareAndSwap(wParking, wParked) {
+		if w.state.CompareAndSwap(wParking, wWaitParked) {
 			w.parks.Add(1)
-			<-w.park
+			<-w.parkChan()
 		}
-		w.state.Store(wActive)
-		w.pool.nparked.Add(-1)
+		w.unpark()
 		g.waiter.CompareAndSwap(w, nil)
-		// A parked waiter is indistinguishable from a parked idle worker,
-		// so a direct handoff (Pool.submit) may have reserved us: run the
-		// delivered root inline — exactly what the sweep above does when
-		// it picks an injected root out of the queue — then re-check the
-		// join condition.
-		if t := w.handoff; t != nil {
-			w.handoff = nil
-			w.run(t)
-		}
 	}
 	// A worker can leave a join hungry (its final sweeps found nothing
 	// because the group finished under it); it is about to resume the
@@ -1377,7 +1565,7 @@ func (w *Worker) tryLoopProtocol() bool {
 // served/weight ratio (deficit-weighted fairness), or -1 if none remain.
 // The comparison a.served/a.weight < b.served/b.weight is evaluated by
 // cross-multiplication to stay in integers.
-func nextLoopIndex(entries []*loopEntry, tried uint64) int {
+func nextLoopIndex(entries []*LoopEntry, tried uint64) int {
 	best := -1
 	var bestServed, bestWeight int64
 	for i, e := range entries {
@@ -1456,39 +1644,71 @@ func (w *Worker) sweepSteal(victims []*Worker, remote bool) (spawned, bool) {
 	return spawned{}, false
 }
 
+// parkSpin bounds how long a worker that found nothing keeps sweeping
+// before it announces a park (see spin). Chosen from a recorded sweep of
+// {0, 5, 20, 50} µs on iter_fine (DESIGN.md, "The caller is a worker"):
+// long enough to span the gap between back-to-back fine-grained loops,
+// short enough that an idle pool stops burning CPU within tens of µs.
+const parkSpin = 20 * time.Microsecond
+
+// spin keeps an idle worker reachable without a wake: it re-sweeps until
+// parkSpin has passed since start, calling runtime.Gosched between sweeps
+// so a runnable client goroutine always gets the P first, and returns
+// true as soon as a sweep ran work. The next loop of an iterative caller
+// usually arrives inside the window, so the worker never parks between
+// loops and the loop needs no wake to recruit it.
+//
+// Workers spin only while the pool is solo: with several callers,
+// spinning workers hold Ps that runnable client goroutines need
+// (examples/server sheds 20–30 % fewer requests per second), so requests
+// keep the park and direct-handoff path.
+//
+//sched:noalloc
+func (w *Worker) spin(start time.Time) bool {
+	for {
+		runtime.Gosched()
+		if w.runOne() {
+			return true
+		}
+		if time.Since(start) >= parkSpin {
+			return false
+		}
+	}
+}
+
 // mainLoop is the top-level scheduling loop: run work while it exists,
-// park when the system is quiescent, exit on pool close. With time
-// accounting on, the clock is read only at burst boundaries: once when a
-// busy burst begins, once when the worker gives up and parks — never per
-// task.
+// spin briefly, park when the system is quiescent, exit on pool close.
+// With time accounting on, a busy burst runs from the first task after a
+// wake to the start of the spin that ended it; the spin and the park are
+// idle — the clock is read at burst boundaries, never per task.
+//
 //sched:noalloc
 func (w *Worker) mainLoop() {
 	defer w.pool.wg.Done()
 	for {
 		acct := w.pool.timeAcct.Load()
-		var burstStart time.Time
+		var burstStart, idleStart time.Time
 		if acct {
 			burstStart = time.Now()
 		}
 		worked := false
 		// A direct handoff (Pool.submit) rides the wake token: run it
-		// before any sweeping — it IS the work the wake announced. The
-		// worker was parked an instant before, so instead of the usual
-		// unannounced sweep it goes straight to the announce-then-sweep
-		// exit protocol below: one failed sweep on the idle round trip
-		// instead of two, at the cost of an unpark retraction in the rare
-		// case the handed-off root left surviving work behind.
-		skipFirst := false
+		// before any sweeping — it IS the work the wake announced.
 		if t := w.handoff; t != nil {
 			w.handoff = nil
 			w.run(t)
 			worked = true
-			skipFirst = true
 		}
 		for {
-			if skipFirst {
-				skipFirst = false
-			} else if w.runOne() {
+			if w.runOne() {
+				worked = true
+				continue
+			}
+			solo := w.pool.solo()
+			if solo || acct {
+				idleStart = time.Now()
+			}
+			if solo && w.spin(idleStart) {
 				worked = true
 				continue
 			}
@@ -1506,7 +1726,7 @@ func (w *Worker) mainLoop() {
 			break
 		}
 		if acct && worked {
-			w.busyNanos.Add(time.Since(burstStart).Nanoseconds())
+			w.busyNanos.Add(idleStart.Sub(burstStart).Nanoseconds())
 		}
 		// Going idle: release whatever consumed deque slots still pin.
 		// Pops and steals skip slot clearing on the hot path, so this is
@@ -1520,10 +1740,6 @@ func (w *Worker) mainLoop() {
 		// actively sweeping on behalf of other loops keep the demand
 		// signal raised — the old pool-wide flag clear erased theirs too.
 		w.noteFed()
-		var idleStart time.Time
-		if acct {
-			idleStart = time.Now()
-		}
 		if w.state.CompareAndSwap(wParking, wParked) {
 			// Committed-park census: already on the blocking slow path, so
 			// the counter costs nothing on the wake-to-first-task edge.
@@ -1537,17 +1753,21 @@ func (w *Worker) mainLoop() {
 			// Skipping the receive is only safe if no producer reserved us
 			// in the meantime: the wParked→wActive CAS below is mutually
 			// exclusive with the wParked→wNotified reservation every waker
-			// and direct handoff performs, so either we retract unreserved
-			// (skip) or a token — possibly carrying a handoff task — is in
-			// flight and must be consumed.
+			// and direct handoff performs, and with a borrower's
+			// wParked→wLent (whose hand-back re-checks quitting), so either
+			// we retract unreserved (skip) or a token — possibly carrying
+			// a handoff task — is in flight and must be consumed.
 			if !w.pool.quitting.Load() || !w.state.CompareAndSwap(wParked, wActive) {
 				<-w.park
 			}
 		}
 		// Woken (or the wake landed during the announcement and the park
-		// CAS consumed it with no channel traffic).
+		// CAS consumed it with no channel traffic). Time the identity
+		// spent lent to a borrower was busy, not idle.
+		lent := w.lentNanos
+		w.lentNanos = 0
 		if acct {
-			w.idleNanos.Add(time.Since(idleStart).Nanoseconds())
+			w.idleNanos.Add(time.Since(idleStart).Nanoseconds() - lent)
 		}
 		w.unpark()
 		if w.pool.quitting.Load() {
@@ -1566,13 +1786,18 @@ func (w *Worker) mainLoop() {
 	}
 }
 
-// unpark retracts a parking announcement: back to active, off the parked
-// census. The store overwrites a pending wNotified mark, which is safe —
-// every unpark path re-enters a full runOne sweep before the worker can
-// block again (or the worker is exiting on the quitting edge).
+// unpark retracts a parking announcement: back to active (lent, for a
+// borrower), off the parked census. The store overwrites a pending
+// wNotified mark, which is safe — every unpark path re-enters a full
+// runOne sweep before the worker can block again (or the worker is
+// exiting on the quitting edge).
 //
 //sched:noalloc
 func (w *Worker) unpark() {
-	w.state.Store(wActive)
+	if w.guest != nil {
+		w.state.Store(wLent)
+	} else {
+		w.state.Store(wActive)
+	}
 	w.pool.nparked.Add(-1)
 }

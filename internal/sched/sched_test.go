@@ -168,6 +168,7 @@ func TestCloseIdempotent(t *testing.T) {
 // fakeLoop implements HybridLoop to verify the steal-protocol plumbing:
 // idle workers must probe registered loops and report entries.
 type fakeLoop struct {
+	LoopEntry
 	live    atomic.Bool
 	entries atomic.Int64
 }
@@ -188,11 +189,12 @@ func TestStealProtocolProbesRegisteredLoops(t *testing.T) {
 		f.live.Store(true)
 		pool.RegisterLoop(f)
 		defer pool.UnregisterLoop(f)
-		// Give idle workers the chance to probe: run a trivial root and
-		// wait for the entry to be recorded.
+		// Give idle workers the chance to probe: wake them all with pinned
+		// no-ops (an empty Run wakes no one when it borrows) and wait for
+		// the entry to be recorded.
 		deadline := 0
 		for f.entries.Load() == 0 && deadline < 1000 {
-			pool.Run(func(w *Worker) {})
+			pokeAll(pool)
 			deadline++
 		}
 		if f.entries.Load() == 0 {
@@ -210,8 +212,10 @@ func TestUnregisterLoopStopsProbing(t *testing.T) {
 		f.live.Store(true)
 		pool.RegisterLoop(f)
 		pool.UnregisterLoop(f)
+		// Each poke drives every other worker through a full sweep, the
+		// registry probe included.
 		for i := 0; i < 50; i++ {
-			pool.Run(func(w *Worker) {})
+			pokeAll(pool)
 		}
 		if f.entries.Load() != 0 {
 			t.Fatal("unregistered loop was probed")

@@ -42,9 +42,11 @@ func TestTimeAccountingCounters(t *testing.T) {
 		w.Wait(&g)
 	})
 	// Let the workers park so idle time starts accruing, then poke them
-	// awake so the parked span is folded into the counters.
+	// awake so the parked span is folded into the counters. An empty Run
+	// would not do: it runs on this goroutine under a borrowed identity
+	// and wakes nobody, so pin a no-op on every other worker instead.
 	time.Sleep(20 * time.Millisecond)
-	p.Run(func(w *Worker) {})
+	pokeAll(p)
 
 	s := p.Stats()
 	if len(s.WorkerBusyNanos) != 4 || len(s.WorkerIdleNanos) != 4 {
@@ -72,9 +74,65 @@ func TestTimeAccountingCounters(t *testing.T) {
 		t.Fatalf("BusyNanos %d != sum of WorkerBusyNanos %d", s.BusyNanos, sum)
 	}
 
+	// A worker folds its busy burst when it parks, after its spin: let
+	// the poked workers park so no fold lands after the reset.
+	waitIdle(t, p)
 	p.ResetStats()
 	s = p.Stats()
 	if s.BusyNanos != 0 || s.IdleNanos != 0 {
 		t.Fatalf("ResetStats left BusyNanos=%d IdleNanos=%d", s.BusyNanos, s.IdleNanos)
+	}
+}
+
+// pokeAll wakes every worker but the caller's identity with a pinned
+// no-op and joins them, so each folds its parked interval into the
+// counters before pokeAll returns.
+func pokeAll(p *Pool) {
+	p.Run(func(w *Worker) {
+		var g Group
+		for i := 0; i < p.P(); i++ {
+			if i != w.ID() {
+				p.SpawnOn(i, &g, func(*Worker) {})
+			}
+		}
+		w.Wait(&g)
+	})
+}
+
+// TestTimeAccountingBorrowed: a borrowed run's time is busy time of the
+// lent identity, and the displaced goroutine — parked the whole time —
+// does not count the lent interval as idle.
+func TestTimeAccountingBorrowed(t *testing.T) {
+	p := NewPool(2, 1)
+	p.SetTimeAccounting(true)
+	// Re-park every worker with accounting on, so the displaced goroutine's
+	// parked interval is timed, and drop what the first park folded in.
+	time.Sleep(5 * time.Millisecond)
+	start := time.Now()
+	p.WakeAll()
+	waitIdle(t, p)
+	p.ResetStats()
+
+	const lent = 30 * time.Millisecond
+	id := -1
+	t0 := time.Now()
+	p.Run(func(w *Worker) {
+		if w.guest == nil {
+			t.Error("a sole Run on an idle pool did not borrow")
+		}
+		id = w.ID()
+		time.Sleep(lent)
+	})
+	ran := time.Since(t0)
+	if busy := time.Duration(p.Stats().WorkerBusyNanos[id]); busy < lent {
+		t.Errorf("worker %d busy %v after a %v borrowed run, want at least %v", id, busy, ran, lent)
+	}
+	// Close wakes the displaced goroutine, which folds its parked interval.
+	time.Sleep(5 * time.Millisecond)
+	p.Close()
+	total := time.Since(start)
+	idle := time.Duration(p.Stats().WorkerIdleNanos[id])
+	if idle <= 0 || idle > total-lent {
+		t.Errorf("worker %d idle %v over %v with %v lent, want in (0, %v]", id, idle, total, ran, total-lent)
 	}
 }
