@@ -8,7 +8,7 @@ BENCH_PATTERN := BenchmarkSpawn|BenchmarkSpawnBatch|BenchmarkStealThroughput|Ben
 # fine-grained per-chunk tax, the wake latency, and the steal handoff rate.
 GATE_PATTERN := BenchmarkForFineHybrid|BenchmarkWakeToFirstTask|BenchmarkStealThroughput
 
-STRESS_PATTERN := TestBorrow|TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDemandQuiesces|TestMeetDemand|TestParkingRetains|TestParkUnpark|TestForErr|TestForEachErr|TestForCtx|TestPanicPropagation|TestStealHalf|TestStealBack|TestRangeSlotAbandon|TestGate|TestConcurrentIndependentLoops|TestCrossLoopCancelStress|TestTryForBackpressure|TestForDegradesInline|TestMetricsConcurrentStress|TestStealWakeChaining|TestTryStealPrefersLocal|TestHierarchicalRangeSteal
+STRESS_PATTERN := TestBorrow|TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDemandQuiesces|TestMeetDemand|TestParkingRetains|TestParkUnpark|TestForErr|TestForEachErr|TestForCtx|TestPanicPropagation|TestStealHalf|TestStealBack|TestRangeSlotAbandon|TestTakeGuided|TestNested|TestGate|TestConcurrentIndependentLoops|TestCrossLoopCancelStress|TestTryForBackpressure|TestForDegradesInline|TestMetricsConcurrentStress|TestStealWakeChaining|TestTryStealPrefersLocal|TestHierarchicalRangeSteal
 
 # Packages carrying seeded golden datasets (testdata/golden_*.json).
 GOLDEN_PKGS := ./internal/sim/ ./internal/nas/
@@ -54,8 +54,8 @@ race:
 	$(GO) test -race -count=1 -run 'TestIS|TestNPBIS' ./internal/nas/
 
 ## stress: race-detect the borrow-protocol, cancellation,
-## error-propagation, steal-path and metrics-plane stress tests (public
-## API package included)
+## error-propagation, steal-path, nested-loop and metrics-plane stress
+## tests (public API package included)
 stress:
 	$(GO) test -race -count=1 -run '$(STRESS_PATTERN)' . $(SCHED_PKGS) ./internal/metrics/
 

@@ -74,14 +74,18 @@ func TestWithDefaultStrategyAndChunk(t *testing.T) {
 	}
 }
 
+// TestNestedForFromTask runs a loop from inside a task and a nested loop
+// from each of its chunks. A chunk runs on whichever worker claimed or
+// stole it, so the inner loop goes through the worker executing the
+// chunk, never the task's captured one.
 func TestNestedForFromTask(t *testing.T) {
 	pool := hybridloop.NewPool(4)
 	defer pool.Close()
 	var total atomic.Int64
 	pool.Run(func(w *hybridloop.Worker) {
-		hybridloop.For(w, 0, 10, func(lo, hi int) {
+		hybridloop.ForWorkerNested(w, 0, 10, func(cw *hybridloop.Worker, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				hybridloop.For(w, 0, 100, func(l2, h2 int) {
+				hybridloop.For(cw, 0, 100, func(l2, h2 int) {
 					total.Add(int64(h2 - l2))
 				}, hybridloop.WithChunk(7))
 			}

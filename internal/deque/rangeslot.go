@@ -87,20 +87,58 @@ func (s *RangeSlot) Publish(lo, hi int) bool {
 // TakeFront removes and returns up to n iterations [lo, lo+n) from the
 // front of the published range, or ok == false if the slot is empty.
 // Owner only (thieves must use StealHalf); the CAS loop is still required
-// because thieves concurrently shrink the back.
+// because thieves concurrently shrink the back. A lazy loop's owner takes
+// its windows with TakeGuided instead.
 //
 //sched:noalloc
 func (s *RangeSlot) TakeFront(n int) (lo, hi int, ok bool) {
 	if n < 1 {
 		n = 1
 	}
+	return s.take(n, 0)
+}
+
+// TakeGuided removes and returns the owner's next window from the front:
+// min(limit, ⌈r/2⌉ rounded up to a whole chunk) iterations, where r is
+// the remainder the take's own CAS observes, or ok == false if the slot
+// is empty. A window is never less than one chunk, so with limit a
+// multiple of chunk (the owner passes stride·chunk) every take but the
+// last is a whole number of chunks; and the slot keeps more than
+// ⌊r/2⌋ − chunk iterations stealable after each take. Windows therefore
+// shrink geometrically as the range runs out — guided self-scheduling
+// applied to the owner's privatized share — and the owner still empties
+// the slot only with its final take. Owner only.
+//
+//sched:noalloc
+func (s *RangeSlot) TakeGuided(chunk, limit int) (lo, hi int, ok bool) {
+	if chunk < 1 {
+		chunk = 1
+	}
+	if limit < chunk {
+		limit = chunk
+	}
+	return s.take(limit, chunk)
+}
+
+// take is the owner's front CAS loop shared by TakeFront and TakeGuided:
+// it removes up to n iterations and, when chunk > 0, at most half the
+// observed remainder rounded up to a multiple of chunk.
+//
+//sched:noalloc
+func (s *RangeSlot) take(n, chunk int) (lo, hi int, ok bool) {
 	for {
 		w := s.v.Load()
 		if w == 0 {
 			return 0, 0, false
 		}
 		l, h := unpackSlotRange(w)
-		take := l + n
+		k := n
+		if chunk > 0 {
+			if half := ((h-l+1)/2 + chunk - 1) / chunk * chunk; half < k {
+				k = half
+			}
+		}
+		take := l + k
 		if take >= h {
 			// Final chunk: the slot transitions to the canonical empty word.
 			if s.v.CompareAndSwap(w, 0) {

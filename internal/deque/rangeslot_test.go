@@ -151,6 +151,173 @@ func TestRangeSlotConcurrentExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestTakeGuidedWindows pins the owner's window sequence on a fresh
+// range: capped by the limit while the range is long, then half the
+// remainder rounded up to a chunk, down to single chunks.
+func TestTakeGuidedWindows(t *testing.T) {
+	var s RangeSlot
+	if _, _, ok := s.TakeGuided(64, 4096); ok {
+		t.Fatal("TakeGuided on empty slot succeeded")
+	}
+	s.Publish(0, 8192)
+	want := []int{4096, 2048, 1024, 512, 256, 128, 64, 64}
+	next := 0
+	for i, n := range want {
+		lo, hi, ok := s.TakeGuided(64, 4096)
+		if !ok || lo != next || hi != next+n {
+			t.Fatalf("take %d = (%d,%d,%v), want (%d,%d,true)", i, lo, hi, ok, next, next+n)
+		}
+		next = hi
+	}
+	if s.Remaining() != 0 {
+		t.Fatalf("slot holds %d after the sequence", s.Remaining())
+	}
+	// An uneven remainder: half of 100 is 50, rounded up to chunk 16 is
+	// 64; then half of 36 rounds up to 32; the last 4 go in one take.
+	s.Publish(0, 100)
+	for _, w := range [][2]int{{0, 64}, {64, 96}, {96, 100}} {
+		lo, hi, ok := s.TakeGuided(16, 1024)
+		if !ok || lo != w[0] || hi != w[1] {
+			t.Fatalf("TakeGuided = (%d,%d,%v), want (%d,%d,true)", lo, hi, ok, w[0], w[1])
+		}
+	}
+}
+
+// TestTakeGuidedKeepsHalf: after every take the slot keeps at least
+// ⌊r/2⌋ − chunk of the r iterations it held before, for every length
+// and chunk in a small grid, and only the final take empties it.
+func TestTakeGuidedKeepsHalf(t *testing.T) {
+	for _, chunk := range []int{1, 3, 8, 64} {
+		for n := 1; n <= 600; n++ {
+			var s RangeSlot
+			s.Publish(0, n)
+			next := 0
+			for {
+				r := s.Remaining()
+				lo, hi, ok := s.TakeGuided(chunk, 16*chunk)
+				if !ok {
+					t.Fatalf("n=%d chunk=%d: take failed with %d left", n, chunk, r)
+				}
+				if lo != next || hi <= lo {
+					t.Fatalf("n=%d chunk=%d: took [%d,%d), want it to start at %d", n, chunk, lo, hi, next)
+				}
+				next = hi
+				left := s.Remaining()
+				if left != r-(hi-lo) {
+					t.Fatalf("n=%d chunk=%d: slot holds %d after taking %d of %d", n, chunk, left, hi-lo, r)
+				}
+				if left < r/2-chunk {
+					t.Fatalf("n=%d chunk=%d: slot keeps %d of %d, want at least %d", n, chunk, left, r, r/2-chunk)
+				}
+				if left == 0 {
+					break
+				}
+				if hi-lo < chunk || (hi-lo)%chunk != 0 {
+					t.Fatalf("n=%d chunk=%d: non-final take of %d is not whole chunks", n, chunk, hi-lo)
+				}
+			}
+			if next != n {
+				t.Fatalf("n=%d chunk=%d: takes ended at %d", n, chunk, next)
+			}
+		}
+	}
+}
+
+// TestTakeGuidedFinalTakeEmpties: the owner empties the slot only with
+// the take that returns the range's end; a thief can still steal until
+// then and never empties it.
+func TestTakeGuidedFinalTakeEmpties(t *testing.T) {
+	var s RangeSlot
+	s.Publish(0, 1000)
+	for {
+		lo, hi, ok := s.TakeGuided(10, 200)
+		if !ok {
+			t.Fatal("slot emptied before a take returned its end")
+		}
+		if hi == 1000 {
+			if s.Remaining() != 0 {
+				t.Fatalf("final take [%d,%d) left %d", lo, hi, s.Remaining())
+			}
+			break
+		}
+		if s.Remaining() == 0 {
+			t.Fatalf("take [%d,%d) emptied the slot before the end", lo, hi)
+		}
+	}
+	if _, _, ok := s.TakeGuided(10, 200); ok {
+		t.Fatal("TakeGuided succeeded on the emptied slot")
+	}
+	// A thief taking the back half between the owner's takes leaves the
+	// owner the final take of what remains.
+	s.Publish(0, 1000)
+	s.TakeGuided(10, 200) // [0,200)
+	if lo, hi, ok := s.StealHalf(10); !ok || lo != 600 || hi != 1000 {
+		t.Fatalf("StealHalf = (%d,%d,%v), want (600,1000,true)", lo, hi, ok)
+	}
+	end := 0
+	for {
+		_, hi, ok := s.TakeGuided(10, 200)
+		if !ok {
+			break
+		}
+		end = hi
+	}
+	if end != 600 {
+		t.Fatalf("owner's takes ended at %d, want 600", end)
+	}
+}
+
+// TestTakeGuidedStealBackExactlyOnce races an owner taking guided
+// windows against StealBack thieves (½ and ¾) and asserts every
+// iteration is handed out exactly once. Run with -race for the full
+// effect.
+func TestTakeGuidedStealBackExactlyOnce(t *testing.T) {
+	const n, chunk, thieves, rounds = 1 << 14, 8, 4, 50
+	for round := 0; round < rounds; round++ {
+		var s RangeSlot
+		counts := make([]atomic.Int32, n)
+		claim := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				counts[i].Add(1)
+			}
+		}
+		var wg sync.WaitGroup
+		var stop atomic.Bool
+		for i := 0; i < thieves; i++ {
+			num, den := 1, 2
+			if i%2 == 1 {
+				num, den = 3, 4
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if lo, hi, ok := s.StealBack(chunk, num, den); ok {
+						claim(lo, hi)
+					}
+				}
+			}()
+		}
+		if !s.Publish(0, n) {
+			t.Fatal("Publish failed")
+		}
+		for {
+			lo, hi, ok := s.TakeGuided(chunk, 64*chunk)
+			if !ok {
+				break
+			}
+			claim(lo, hi)
+		}
+		stop.Store(true)
+		wg.Wait()
+		for i := range counts {
+			if c := counts[i].Load(); c != 1 {
+				t.Fatalf("round %d: iteration %d handed out %d times", round, i, c)
+			}
+		}
+	}
+}
+
 // TestRangeSlotAbandon: Abandon atomically takes the whole remainder out
 // of circulation — it returns the abandoned range exactly once, leaves
 // the slot empty for thieves and owner alike, and reports nothing on an

@@ -104,8 +104,8 @@ func (rs *rangeSet) runOwned(w *sched.Worker, lo, hi int) {
 		rs.g.Done()
 	}()
 	pool := w.Pool()
-	// The cancel, demand, and inject polls — and, crucially, the TakeFront
-	// CAS itself — run once per poll window of stride chunks (see
+	// The cancel, demand, and inject polls — and, crucially, the take CAS
+	// itself — run once per poll window of up to stride chunks (see
 	// pacer.go): the owner claims a whole window from its slot in ONE CAS
 	// and slices it into chunk-sized body calls with plain arithmetic, so
 	// steady-state consumption costs one atomic op per ~pollBudgetNanos of
@@ -119,7 +119,9 @@ func (rs *rangeSet) runOwned(w *sched.Worker, lo, hi int) {
 	// polled between windows, so a worker holds at most stride chunks
 	// (≈ pollBudgetNanos of work, ≤ maxPollStride chunks) beyond any
 	// external event. The entry Cancelled check above covers the first
-	// window.
+	// window. TakeGuided also caps each window at half the remainder,
+	// rounded up to a chunk, so the range's last iterations stay
+	// stealable even when the stride was measured on a light first chunk.
 	stride := rs.opts.pollStride
 	if stride == 0 {
 		stride = rs.stride.Load()
@@ -136,7 +138,7 @@ func (rs *rangeSet) runOwned(w *sched.Worker, lo, hi int) {
 	}
 	window := int(stride) * rs.chunk
 	for {
-		wlo, whi, ok := s.TakeFront(window)
+		wlo, whi, ok := s.TakeGuided(rs.chunk, window)
 		if !ok {
 			return
 		}

@@ -112,6 +112,47 @@ func TestStealHalfNestedReentry(t *testing.T) {
 	}
 }
 
+// TestOwnerWindowLeavesHalfStealable: while a lazy owner runs a window,
+// its published slot still holds at least half, minus one chunk, of the
+// iterations it had not yet taken when it took that window, so a thief
+// arriving mid-window always finds the tail. The stride is forced to its
+// maximum, as a light first chunk measures it. A one-worker pool has no
+// thieves, so the slot changes only at the owner's takes: the first chunk
+// of each window sees a new remainder and starts where the window does.
+func TestOwnerWindowLeavesHalfStealable(t *testing.T) {
+	const n, chunk = 4096, 8
+	pool := sched.NewPool(1, 9)
+	defer pool.Close()
+	var g sched.Group
+	var rs rangeSet
+	opts := &Options{Chunk: chunk}
+	opts.pollStride = maxPollStride
+	prev, windows, covered := -1, 0, 0
+	rs.init(pool.P(), &g, func(w *sched.Worker, lo, hi int) {
+		covered += hi - lo
+		left := rs.slots[w.ID()].Remaining()
+		if left == prev {
+			return
+		}
+		windows++
+		prev = left
+		if want := (n-lo)/2 - chunk; left < want {
+			t.Errorf("window from %d: slot holds %d of the %d untaken, want at least %d", lo, left, n-lo, want)
+		}
+	}, opts, chunk)
+	pool.Run(func(w *sched.Worker) {
+		rs.runOwned(w, 0, n)
+		w.Wait(&g)
+	})
+	if covered != n {
+		t.Fatalf("owner covered %d iterations, want %d", covered, n)
+	}
+	// Seven windows of stride·chunk = 512, then 256, 128, …, 8, 8.
+	if windows != 14 {
+		t.Fatalf("owner took %d windows, want 14", windows)
+	}
+}
+
 // TestStealHalfPanicUnwind: a body that panics mid-range while thieves
 // are active must surface exactly one TaskPanicError at the initiating
 // Wait, and the pool must stay usable — the unwind path Resets the

@@ -19,6 +19,14 @@ package loop
 // in flight), and never more than maxPollStride chunks even when the
 // cost estimate is wrong.
 //
+// A steal-half owner's window is min(k·chunk, ⌈r/2⌉ rounded up to a whole
+// chunk), at least one chunk, for the remainder r its take observes
+// (deque.RangeSlot.TakeGuided). The stride caps a window while the range
+// is long; half the remainder caps it in the tail. Windows only shrink,
+// so the cancellation bound above (one window plus the chunk in flight)
+// still holds, and a range's last iterations stay stealable even when k
+// was measured on a light first chunk.
+//
 // Which loops stride: the steal-half owners (rangeSet.runOwned — serving
 // DynamicStealing and the hybrid partitions) and the shared-counter team
 // (sharingFor). Guided keeps its per-grab polls: its grabs shrink
