@@ -2,22 +2,16 @@ GO ?= go
 
 SCHED_PKGS := ./internal/sched/... ./internal/deque/... ./internal/loop/...
 
-BENCH_PATTERN := BenchmarkSpawn|BenchmarkSpawnBatch|BenchmarkStealThroughput|BenchmarkWakeToFirstTask|BenchmarkForFine|BenchmarkAutoSteadyState
-
-# The three headline benchmarks the benchgate target re-measures: the
-# fine-grained per-chunk tax, the wake latency, and the steal handoff rate.
-GATE_PATTERN := BenchmarkForFineHybrid|BenchmarkWakeToFirstTask|BenchmarkStealThroughput
-
 STRESS_PATTERN := TestBorrow|TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDemandQuiesces|TestMeetDemand|TestParkingRetains|TestParkUnpark|TestForErr|TestForEachErr|TestForCtx|TestPanicPropagation|TestStealHalf|TestStealBack|TestRangeSlotAbandon|TestTakeGuided|TestNested|TestGate|TestConcurrentIndependentLoops|TestCrossLoopCancelStress|TestTryForBackpressure|TestForDegradesInline|TestMetricsConcurrentStress|TestStealWakeChaining|TestTryStealPrefersLocal|TestHierarchicalRangeSteal
 
 # Packages carrying seeded golden datasets (testdata/golden_*.json).
 GOLDEN_PKGS := ./internal/sim/ ./internal/nas/
 
-.PHONY: check race bench benchdiff benchgate repobench stress lint protodoc servertest golden golden-regen repro
+.PHONY: check race repobench stress lint protodoc servertest golden golden-regen repro
 
 # Every registered schedlint analyzer; `make lint` fails if a
 # registration regression drops one.
-LINT_ANALYZERS := 8
+LINT_ANALYZERS := 7
 
 ## check: gofmt, vet, build and test everything (tier-1 gate)
 check:
@@ -27,10 +21,10 @@ check:
 	$(GO) test ./...
 
 ## lint: vet plus the module's own concurrency-invariant analyzers
-## (atomicmix, cacheline, lockorder, loopcapture, looperr,
-## metricsample, noalloc, protocol — see cmd/schedlint). Asserts the
-## registered-analyzer count first, so a registration regression fails
-## loudly instead of silently checking less.
+## (atomicmix, cacheline, lockorder, loopcapture, looperr, noalloc,
+## protocol — see cmd/schedlint). Asserts the registered-analyzer count
+## first, so a registration regression fails loudly instead of silently
+## checking less.
 lint:
 	$(GO) vet ./...
 	@n=$$($(GO) run ./cmd/schedlint -list | wc -l); \
@@ -80,17 +74,10 @@ repro:
 	mkdir -p out
 	$(GO) run ./cmd/paperrepro -html out/report.html | tee out/paperrepro_output.txt
 
-## bench: run the scheduler benchmarks and regenerate BENCH_sched.json
-## (two repeats; benchjson keeps the best per name — scheduling noise on
-## a shared machine only ever inflates an op, so min is the stable stat)
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' \
-		-benchtime 0.5s -count=2 ./internal/sched/ | tee /tmp/bench_sched.txt
-	$(GO) run ./cmd/benchjson -in /tmp/bench_sched.txt -out BENCH_sched.json
-
-## repobench: run the repository benchmark (BENCHMARK.json) — one
-## workload with WORKLOAD=<name>, else all four; prints every metric, no
-## gate (compare two commits by interleaved runs, see benchmark/README.md)
+## repobench: run the repository benchmark (BENCHMARK.json), the repo's
+## one performance measurement — one workload with WORKLOAD=<name>, else
+## all four; prints every metric, no gate (compare two commits by
+## interleaved runs, see benchmark/README.md)
 REPOBENCH_WORKLOADS := iter_fine skew_coarse nas_suite serve_mixed
 SEED ?= 1
 repobench:
@@ -103,19 +90,3 @@ repobench:
 ## service collapses (zero throughput, unbounded P99, goroutine blow-up)
 servertest:
 	$(GO) run ./examples/server -bench -duration 3s -clients 8 -giant
-
-## benchdiff: rerun the benchmarks and fail on a >10% ns/op regression
-## against the committed BENCH_sched.json (writes nothing)
-benchdiff:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' \
-		-benchtime 0.5s -count=1 ./internal/sched/ | tee /tmp/bench_sched_diff.txt
-	$(GO) run ./cmd/benchjson -in /tmp/bench_sched_diff.txt -out BENCH_sched.json -diff -threshold 0.10
-
-## benchgate: the CI perf gate — run the three headline benchmarks three
-## times each (benchjson keeps the best repeat per name, filtering
-## one-sided scheduling noise) and fail on a >10% ns/op regression
-## against the committed BENCH_sched.json (writes nothing)
-benchgate:
-	$(GO) test -run '^$$' -bench '$(GATE_PATTERN)' \
-		-benchtime 0.5s -count=3 ./internal/sched/ | tee /tmp/bench_sched_gate.txt
-	$(GO) run ./cmd/benchjson -in /tmp/bench_sched_gate.txt -out BENCH_sched.json -diff -threshold 0.10

@@ -27,7 +27,7 @@ var ErrLoopCancelled = sched.ErrCancelled
 //
 // A panicking body is not converted to an error: the panic cancels the
 // remaining workers the same way and then propagates to the caller as a
-// *sched.TaskPanicError, exactly as it does from For.
+// *TaskPanicError, exactly as it does from For.
 func (p *Pool) ForErr(begin, end int, body func(lo, hi int) error, opts ...ForOption) error {
 	return p.forErr(begin, end, body, opts, 2)
 }

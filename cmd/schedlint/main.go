@@ -8,11 +8,9 @@
 // lockorder (no mutex acquisition-order cycles, every lock released on
 // every return path), loopcapture (no plain writes to variables
 // captured by parallel loop bodies), looperr (no ignored
-// ForErr/ForEachErr/ForCtx/TryFor results), metricsample (no plain
-// writes to words the metrics registry samples with sync/atomic at
-// scrape time), noalloc (//sched:noalloc functions contain no
-// allocating construct), protocol (//sched:protocol atomic fields obey
-// their declared state machines).
+// ForErr/ForEachErr/ForCtx/TryFor results), noalloc (//sched:noalloc
+// functions contain no allocating construct), protocol
+// (//sched:protocol atomic fields obey their declared state machines).
 // Deliberate violations are annotated in the source with
 // //lint:ignore <analyzer>[,<analyzer>...] <reason>; unknown analyzer
 // names and stale suppressions are themselves findings.

@@ -87,6 +87,11 @@ type Group = sched.Group
 // entries); see Pool.Stats.
 type Stats = sched.Stats
 
+// TaskPanicError is what a panicking loop body or task re-raises at the
+// caller: the original panic value plus the stack of the worker that
+// caught it.
+type TaskPanicError = sched.TaskPanicError
+
 // Recorder observes which worker executed which iterations; pass one via
 // WithRecorder to measure loop affinity.
 type Recorder = loop.Recorder

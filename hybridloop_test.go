@@ -24,6 +24,32 @@ func TestQuickstartShape(t *testing.T) {
 	}
 }
 
+// TestForPanicIsTaskPanicError pins that callers outside the module can
+// name the re-raised panic type: a panicking Pool.For body reaches the
+// caller as a *hybridloop.TaskPanicError carrying the body's stack.
+func TestForPanicIsTaskPanicError(t *testing.T) {
+	pool := hybridloop.NewPool(4)
+	defer pool.Close()
+	defer func() {
+		tpe, ok := recover().(*hybridloop.TaskPanicError)
+		if !ok {
+			t.Fatal("recovered value is not a *hybridloop.TaskPanicError")
+		}
+		if tpe.Value != "boom" {
+			t.Fatalf("Value = %v, want boom", tpe.Value)
+		}
+		if len(tpe.Stack) == 0 {
+			t.Fatal("TaskPanicError carries no stack")
+		}
+	}()
+	pool.For(0, 1000, func(lo, hi int) {
+		if lo == 0 {
+			panic("boom")
+		}
+	})
+	t.Fatal("For returned normally from a panicking body")
+}
+
 func TestNewPoolDefaultsToGOMAXPROCS(t *testing.T) {
 	pool := hybridloop.NewPool(0)
 	defer pool.Close()

@@ -23,9 +23,6 @@
 //     captured from outside the closure.
 //   - looperr: the error results of ForErr/ForEachErr/ForCtx must not
 //     be discarded.
-//   - metricsample: a word registered with the metrics registry's
-//     pointer-sampling collectors (metrics.SampleInt64) is read with
-//     sync/atomic at scrape time, so it must never be plainly written.
 //   - protocol: atomic fields annotated //sched:protocol carry a
 //     declared state machine; every CompareAndSwap/Store/Swap on the
 //     field, module-wide, must perform a declared transition between
@@ -87,7 +84,6 @@ var Analyzers = []*Analyzer{
 	LockOrder,
 	LoopCapture,
 	LoopErr,
-	MetricSample,
 	NoAlloc,
 	Protocol,
 }

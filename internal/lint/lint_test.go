@@ -11,6 +11,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
+// fixtures names every package under testdata/src: one per analyzer,
+// plus the engine's suppression fixture.
+var fixtures = []string{"atomicmix", "cacheline", "lockorder", "loopcapture", "looperr", "noalloc", "protocol", "suppress"}
+
 // TestGolden runs every analyzer over each fixture package under
 // testdata/src and compares the surviving diagnostics against the
 // committed golden file. Each fixture mixes positive cases (must be
@@ -21,7 +25,6 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 //
 // Regenerate with: go test ./internal/lint -run TestGolden -update
 func TestGolden(t *testing.T) {
-	fixtures := []string{"atomicmix", "cacheline", "lockorder", "loopcapture", "looperr", "metricsample", "noalloc", "protocol", "suppress"}
 	for _, name := range fixtures {
 		t.Run(name, func(t *testing.T) {
 			root := moduleRoot(t)
@@ -66,7 +69,7 @@ func TestGolden(t *testing.T) {
 // analyzer went blind, which a pure golden comparison would happily
 // pin as the new expected output via -update.
 func TestGoldenHasFindings(t *testing.T) {
-	for _, name := range []string{"atomicmix", "cacheline", "lockorder", "loopcapture", "looperr", "metricsample", "noalloc", "protocol", "suppress"} {
+	for _, name := range fixtures {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
 		if err != nil {
 			t.Fatalf("reading golden for %s: %v", name, err)

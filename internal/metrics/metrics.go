@@ -353,22 +353,6 @@ func (r *Registry) OnCollect(name, help string, kind Kind, fn CollectFunc) {
 	r.mu.Unlock()
 }
 
-// SampleInt64 exposes *p as a scrape-time gauge read with
-// atomic.LoadInt64. The pointed-to word becomes part of the concurrent
-// scrape surface: every write to it anywhere in the module must use
-// sync/atomic (enforced statically by schedlint's metricsample
-// analyzer). Prefer OnCollect over this when the producer already owns a
-// typed atomic.
-func (r *Registry) SampleInt64(name, help string, labels Labels, p *int64) {
-	if r == nil {
-		return
-	}
-	ls := append(Labels(nil), labels...)
-	r.OnCollect(name, help, KindGauge, func(emit func(Labels, float64)) {
-		emit(ls, float64(atomic.LoadInt64(p)))
-	})
-}
-
 // Rotate advances every windowed histogram registered with the registry
 // by one window (see Windowed.Rotate). Call it periodically — directly,
 // or via RotateEvery — so long-running pools keep bounded recent history.

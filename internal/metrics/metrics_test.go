@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -93,11 +92,8 @@ func TestLabelKeyEscaping(t *testing.T) {
 	}
 }
 
-func TestOnCollectAndSampleInt64(t *testing.T) {
+func TestOnCollect(t *testing.T) {
 	r := NewRegistry()
-	var word int64
-	atomic.StoreInt64(&word, 42)
-	r.SampleInt64("sampled", "a sampled word", L("kind", "raw"), &word)
 	r.OnCollect("collected", "const samples", KindCounter, func(emit func(Labels, float64)) {
 		emit(L("k", "b"), 2)
 		emit(L("k", "a"), 1)
@@ -108,10 +104,8 @@ func TestOnCollectAndSampleInt64(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`sampled{kind="raw"} 42`,
 		`collected{k="a"} 1`,
 		`collected{k="b"} 2`,
-		"# TYPE sampled gauge",
 		"# TYPE collected counter",
 	} {
 		if !strings.Contains(out, want) {

@@ -1,43 +1,26 @@
-// Microbenchmarks for the scheduler hot paths: spawn latency, steal
-// throughput, wake-to-first-task latency, and fine-grained parallel-loop
-// overhead vs chunk size. Results are recorded in BENCH_sched.json at the
-// repo root (regenerate with `make bench`) so perf changes leave a
-// trajectory across PRs.
+// Allocation pins and a parking stress test for the scheduler hot paths,
+// plus the two microbenchmarks the repository benchmark (`go run
+// ./benchmark`, see BENCHMARK.json) has no probe for: batched spawns past
+// the deque's initial capacity, and fine-grained DynamicStealing loops.
+// Performance is recorded by the repository benchmark only; these
+// benchmarks are for local `go test -bench` investigation.
 //
 // The suite lives in the external test package so it can drive the loop
 // strategies (internal/loop imports sched) exactly as the public API does.
 package sched_test
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"hybridloop/internal/adaptive"
 	"hybridloop/internal/loop"
 	"hybridloop/internal/sched"
 )
 
 func noop(w *sched.Worker) {}
-
-// BenchmarkSpawn measures one Spawn + execute + join on a single worker:
-// the pure per-spawn cost of the deque push, the task bookkeeping, and the
-// pop-and-run, with no steal traffic. This is the constant the paper's
-// T_1/P term multiplies.
-func BenchmarkSpawn(b *testing.B) {
-	pool := sched.NewPool(1, 1)
-	defer pool.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	pool.Run(func(w *sched.Worker) {
-		var g sched.Group
-		for i := 0; i < b.N; i++ {
-			w.Spawn(&g, noop)
-			w.Wait(&g)
-		}
-	})
-}
 
 // BenchmarkSpawnBatch amortizes the join: spawn 256 tasks, then wait. The
 // deque grows past its initial capacity, so ring growth is in the loop.
@@ -73,46 +56,6 @@ func TestSpawnAllocFree(t *testing.T) {
 			t.Errorf("Spawn+Wait allocates %.1f objects per spawn, want 0", allocs)
 		}
 	})
-}
-
-// BenchmarkStealThroughput has one producer spawning tiny tasks while the
-// other workers drain them by stealing — the handoff rate of the
-// spawn→wake→steal path.
-func BenchmarkStealThroughput(b *testing.B) {
-	p := runtime.NumCPU()
-	if p < 4 {
-		p = 4
-	}
-	pool := sched.NewPool(p, 1)
-	defer pool.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	pool.Run(func(w *sched.Worker) {
-		var g sched.Group
-		for i := 0; i < b.N; i++ {
-			w.Spawn(&g, noop)
-		}
-		w.Wait(&g)
-	})
-}
-
-// BenchmarkWakeToFirstTask measures the external-submission round trip on
-// an otherwise idle pool. A sole caller on an idle pool borrows a parked
-// worker's identity and runs the root itself (Pool.Run), so this measures
-// the borrow/hand-back round trip; a thread-locked pool still takes the
-// submit/wake/execute/signal path. Both must stay allocation-free.
-func BenchmarkWakeToFirstTask(b *testing.B) {
-	p := runtime.NumCPU()
-	if p < 4 {
-		p = 4
-	}
-	pool := sched.NewPool(p, 1)
-	defer pool.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.Run(func(w *sched.Worker) {})
-	}
 }
 
 // TestRunAllocFree pins the allocation count of an external Run at zero,
@@ -205,94 +148,22 @@ func TestParkUnparkStress(t *testing.T) {
 	}
 }
 
-// benchFor measures a whole fine-grained parallel loop with an empty body:
-// pure spawn+join scheduling overhead per loop at P = NumCPU. The chunk
-// sizes bracket the paper's fine-grained regime (chunk <= 64) where
-// scheduling constants dominate.
-func benchFor(b *testing.B, strategy loop.Strategy, chunk int) {
+// BenchmarkForFineStealing measures a whole fine-grained DynamicStealing
+// loop with an empty body: pure spawn+join scheduling overhead per loop at
+// P = NumCPU. The chunk sizes bracket the paper's fine-grained regime
+// (chunk <= 64) where scheduling constants dominate. The repository
+// benchmark measures the Hybrid strategy's per-loop and per-chunk costs;
+// no probe there runs DynamicStealing.
+func BenchmarkForFineStealing(b *testing.B) {
 	pool := sched.NewPool(runtime.NumCPU(), 1)
 	defer pool.Close()
 	const n = 1 << 15
 	body := func(lo, hi int) {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		loop.For(pool, 0, n, body, loop.Options{Strategy: strategy, Chunk: chunk})
-	}
-}
-
-func BenchmarkForFineHybrid(b *testing.B) {
 	for _, chunk := range []int{16, 64, 256} {
-		b.Run(benchName(chunk), func(b *testing.B) { benchFor(b, loop.Hybrid, chunk) })
-	}
-}
-
-func BenchmarkForFineStealing(b *testing.B) {
-	for _, chunk := range []int{16, 64, 256} {
-		b.Run(benchName(chunk), func(b *testing.B) { benchFor(b, loop.DynamicStealing, chunk) })
-	}
-}
-
-// BenchmarkAutoSteadyState measures the per-call overhead a committed
-// Auto site adds over running the identical configuration hard-coded.
-// The trip count keeps the serial arm in the candidate set and the body
-// empty, so the loop itself is a few hundred nanoseconds and the tuner's
-// steady-state tax — one site-table probe, one atomic load, one counter
-// increment, plus a sampled observed play every 16th call — is a visible
-// fraction of the measurement rather than noise. The warm-up loop drives
-// the site through exploration so the timed region is pure committed
-// steady state.
-func BenchmarkAutoSteadyState(b *testing.B) {
-	pool := sched.NewPool(runtime.NumCPU(), 1)
-	defer pool.Close()
-	tuner := adaptive.NewTuner(adaptive.Config{
-		Seed:    1,
-		Workers: pool.P(),
-		Arms:    loop.AutoArms,
-		// No periodic refresh and no drift eviction: an empty body's cost
-		// is all jitter, and the benchmark measures the committed fast
-		// path, not re-exploration churn.
-		ReexploreEvery: -1,
-		DriftFactor:    1e9,
-	})
-	const n = 1 << 12
-	const site = uintptr(0xBEEF)
-	body := func(lo, hi int) {}
-	auto := loop.Options{Strategy: loop.Auto, Tuner: tuner, Site: site}
-	for i := 0; i < 200; i++ {
-		loop.For(pool, 0, n, body, auto)
-	}
-	committed := loop.Options{Strategy: loop.Hybrid}
-	for _, s := range tuner.Sites() {
-		if s.State == "committed" && s.Committed >= 0 {
-			arm := s.Arms[s.Committed]
-			committed.Strategy = loop.Strategy(arm.Strategy)
-			if arm.Serial {
-				committed.SerialCutoff = n
+		b.Run(fmt.Sprintf("chunk%d", chunk), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				loop.For(pool, 0, n, body, loop.Options{Strategy: loop.DynamicStealing, Chunk: chunk})
 			}
-		}
+		})
 	}
-	b.Run("auto", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			loop.For(pool, 0, n, body, auto)
-		}
-	})
-	b.Run("fixed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			loop.For(pool, 0, n, body, committed)
-		}
-	})
-}
-
-func benchName(chunk int) string {
-	switch chunk {
-	case 16:
-		return "chunk16"
-	case 64:
-		return "chunk64"
-	case 256:
-		return "chunk256"
-	}
-	return "chunk"
 }

@@ -6,7 +6,6 @@ import (
 
 	"hybridloop/internal/loop"
 	"hybridloop/internal/metrics"
-	"hybridloop/internal/trace"
 )
 
 // MetricsRegistry is the pool's metrics plane: label-based counters,
@@ -85,14 +84,4 @@ func (p *Pool) observeInline(start time.Time) {
 		ObserveSince(start)
 	p.mreg.Counter("hybridloop_loops_total", "public loop calls completed",
 		metrics.L("site", "", "strategy", "inline")).Inc()
-}
-
-// BridgeTraceMetrics post-processes a trace log into r: chunk-size and
-// loop-duration histograms, claim/steal/split/cancel counters, all
-// labeled site=<label>. Tracing already pays a per-chunk critical
-// section, so the bridge runs over the harvested log instead of adding a
-// second hot-path producer. Bridge each log once (Reset it afterwards if
-// the loop runs again), or the counts double.
-func BridgeTraceMetrics(r *MetricsRegistry, label string, l *trace.Log) {
-	r.BridgeTrace(label, l)
 }
