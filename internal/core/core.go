@@ -54,13 +54,20 @@ func (r Range) Split(n int) []Range {
 		panic("core: Split with n <= 0")
 	}
 	out := make([]Range, n)
+	r.splitInto(out)
+	return out
+}
+
+// splitInto is Split into caller-owned storage, len(out) sub-ranges.
+func (r Range) splitInto(out []Range) {
+	n := len(out)
 	total := r.Len()
 	if total < 0 {
 		total = 0
 	}
 	base, extra := total/n, total%n
 	begin := r.Begin
-	for i := 0; i < n; i++ {
+	for i := range out {
 		size := base
 		if i < extra {
 			size++
@@ -68,7 +75,6 @@ func (r Range) Split(n int) []Range {
 		out[i] = Range{begin, begin + size}
 		begin += size
 	}
-	return out
 }
 
 // ClaimFlag is one partition's claim word, padded to a full cache line:
@@ -82,22 +88,25 @@ func (r Range) Split(n int) []Range {
 type ClaimFlag struct {
 	// v is the claim latch of Algorithm 1: Swap(1) owns the transition —
 	// exactly one worker observes the 0 return and executes the
-	// partition. An unconditional write, so the spec's only transition
-	// is any→claimed; there is no way back to unclaimed within one
-	// dynamic execution (the set is reallocated per run).
+	// partition. An unconditional write, so the claim is any→claimed;
+	// there is no way back to unclaimed within one dynamic execution.
+	// Only Reset, which starts the next execution of a recycled set once
+	// no worker can reach it, stores unclaimed.
 	//
 	//sched:protocol claim
 	//sched:state unclaimed = 0
 	//sched:state claimed = 1
 	//sched:trans any -> claimed
+	//sched:trans any -> unclaimed
 	v atomic.Uint32 // 0 = unclaimed, 1 = claimed
 	_ [60]byte
 }
 
 // PartitionSet is the partition data structure A of Algorithm 1: the
 // iteration space divided into R = 2^k partitions with one atomic claim
-// flag per partition. A PartitionSet is created once per dynamic execution
-// of a hybrid loop and shared by every worker that participates.
+// flag per partition. A PartitionSet serves one dynamic execution of a
+// hybrid loop at a time and is shared by every worker that participates;
+// Reset readies it for the next.
 type PartitionSet struct {
 	iters   Range
 	parts   []Range      // partition r covers parts[r]
@@ -124,12 +133,29 @@ func NewPartitionSetR(begin, end, r int) *PartitionSet {
 	if r < 1 || r&(r-1) != 0 {
 		panic(fmt.Sprintf("core: R = %d is not a power of two", r))
 	}
-	return &PartitionSet{
-		iters: Range{begin, end},
-		parts: (Range{begin, end}).Split(r),
+	ps := &PartitionSet{
+		parts: make([]Range, r),
 		flags: make([]ClaimFlag, r),
 		logR:  bits.TrailingZeros(uint(r)),
 	}
+	ps.Reset(begin, end)
+	return ps
+}
+
+// Reset re-divides [begin, end) evenly into the set's R partitions and
+// clears every claim, in place: a recycled set starts its next dynamic
+// execution without allocating. The caller must ensure no worker still
+// reaches the set from its previous execution.
+//
+//sched:noalloc
+func (ps *PartitionSet) Reset(begin, end int) {
+	ps.iters = Range{begin, end}
+	ps.iters.splitInto(ps.parts)
+	for i := range ps.flags {
+		ps.flags[i].v.Store(0)
+	}
+	ps.failed.Store(0)
+	ps.claimed.Store(0)
 }
 
 // R returns the number of partitions (a power of two).

@@ -401,3 +401,31 @@ func TestPeekClaimed(t *testing.T) {
 		t.Fatalf("FailedClaims = %d, want 1", ps.FailedClaims())
 	}
 }
+
+// TestResetMatchesNew: a set reset in place after a fully claimed run is
+// indistinguishable from a new one over the new range — the same
+// partitions, every flag unclaimed, zeroed counters — and Reset itself
+// allocates nothing.
+func TestResetMatchesNew(t *testing.T) {
+	ps := NewPartitionSet(0, 100, 3)
+	for r := 0; r < ps.R(); r++ {
+		ps.ClaimPartition(r)
+	}
+	ps.ClaimPartition(0) // a failed claim
+	ps.Reset(7, 1000)
+	want := NewPartitionSet(7, 1000, 3)
+	if ps.Iterations() != want.Iterations() || ps.R() != want.R() || ps.LogR() != want.LogR() {
+		t.Fatalf("reset set covers %v in %d partitions, want %v in %d", ps.Iterations(), ps.R(), want.Iterations(), want.R())
+	}
+	for r := 0; r < ps.R(); r++ {
+		if ps.Partition(r) != want.Partition(r) || ps.Claimed(r) {
+			t.Fatalf("partition %d: %v claimed=%v, want %v unclaimed", r, ps.Partition(r), ps.Claimed(r), want.Partition(r))
+		}
+	}
+	if ps.Unclaimed() != ps.R() || ps.FailedClaims() != 0 {
+		t.Fatalf("counters not reset: unclaimed %d, failed %d", ps.Unclaimed(), ps.FailedClaims())
+	}
+	if a := testing.AllocsPerRun(100, func() { ps.Reset(0, 4096) }); a != 0 {
+		t.Fatalf("Reset allocates %.0f objects, want 0", a)
+	}
+}

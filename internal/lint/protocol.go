@@ -37,7 +37,9 @@ import (
 // A state declared `= dyn` stands for "any non-constant value" — the
 // RangeSlot's published word is a packed [lo,hi) pair that only the
 // empty sentinel 0 distinguishes, so its spec is `empty = 0`,
-// `published = dyn`.
+// `published = dyn`. A state declared `= nil` matches the literal nil
+// stored into a pointer word (without one, nil counts as dyn): a worker's
+// hazard slot is `clear = nil`, `held = dyn`.
 var Protocol = &Analyzer{
 	Name: "protocol",
 	Doc:  "checks atomic fields annotated //sched:protocol against their declared state machines",
@@ -62,6 +64,7 @@ type protoSpec struct {
 	trans     map[[2]string]bool
 	transList [][2]string // declaration order, for docs
 	dynState  string      // name of the dyn state ("" if none)
+	nilState  string      // name of the nil state ("" if none)
 }
 
 // stateFor maps a folded argument value to a declared state name.
@@ -226,6 +229,12 @@ func parseProtocolSpec(ctx *Context, pkg *Package, doc *ast.CommentGroup, obj *t
 					continue
 				}
 				sp.dynState = name
+			case raw == "nil":
+				if sp.nilState != "" {
+					reportf(c.Pos(), "protocol %s declares a second nil state %q", sp.name, name)
+					continue
+				}
+				sp.nilState = name
 			case raw == "true" || raw == "false":
 				st.val = constant.MakeBool(raw == "true")
 			default:
@@ -400,6 +409,9 @@ func checkProtocolOp(ctx *Context, pkg *Package, sp *protoSpec, kind string,
 	op := &protoOp{spec: sp, kind: kind, fn: fnName, pos: ctx.Fset.Position(call.Pos())}
 
 	resolve := func(e ast.Expr, role string) (string, bool) {
+		if tv, ok := pkg.Info.Types[e]; ok && tv.IsNil() && sp.nilState != "" {
+			return sp.nilState, true
+		}
 		v, _ := constValueOf(pkg, body, e)
 		st, ok := sp.stateFor(v)
 		if ok {

@@ -73,6 +73,23 @@ func publish(s *slot, w uint64) {
 	s.v.Store(0)             // any -> empty is declared
 }
 
+// hazard has a nil state: the literal nil is "clear", any pointer "held".
+type hazard struct {
+	//sched:protocol hazard
+	//sched:state clear = nil
+	//sched:state held = dyn
+	//sched:trans any -> held
+	//sched:trans clear -> held
+	h atomic.Pointer[slot]
+}
+
+func hold(h *hazard, s *slot) {
+	h.h.Store(s)               // any -> held
+	h.h.CompareAndSwap(nil, s) // clear -> held
+	h.h.CompareAndSwap(s, nil) // want: undeclared transition held -> clear
+	h.h.Store(nil)             // want: no any -> clear transition
+}
+
 // badspec exercises the spec parser's own diagnostics.
 type badspec struct {
 	//sched:protocol badspec

@@ -1,0 +1,207 @@
+package loop
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"hybridloop/internal/sched"
+)
+
+// slotFrame returns the frame in pool's single-slot cache, leaving it
+// there: with one caller, the frame the next root loop runs on.
+func slotFrame(pool *sched.Pool) *frame {
+	f := sched.TakeFrame[frame](pool)
+	if f != nil {
+		sched.PutFrame(pool, f)
+	}
+	return f
+}
+
+// TestFrameRecyclingStress runs thousands of back-to-back root loops on a
+// four-worker pool whose idle workers keep probing the registry, beside a
+// goroutine reading LiveLoops. Plain loops (some with nested loops in
+// their chunks) alternate with loops cancelled mid-run through an
+// external token, as ForErr lowers an error, and with loops whose body
+// panics. Every plain loop must tile its range exactly once, and a
+// cancelled or panicked one must run no iteration twice. A frame whose
+// loop was cancelled or panicked must never be handed out again: the frame
+// a loop will run on is the one in the pool's slot, so the slot is read
+// before and after every loop. Run under -race by make race and make
+// stress.
+func TestFrameRecyclingStress(t *testing.T) {
+	const loops, n = 3000, 2048
+	pool := sched.NewPool(4, 17)
+	defer pool.Close()
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				pool.LiveLoops()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		reader.Wait()
+	}()
+
+	counts := make([]atomic.Int32, n)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			counts[i].Add(1)
+		}
+	}
+	errStop := errors.New("stop")
+	dead := map[*frame]bool{}
+	recycled := 0
+	for i := 0; i < loops; i++ {
+		next := slotFrame(pool)
+		if next != nil && dead[next] {
+			t.Fatalf("loop %d: a frame whose loop was cancelled or panicked is handed out again", i)
+		}
+		opts := Options{Strategy: Hybrid, Chunk: 16}
+		if i%3 == 0 {
+			opts.Strategy = DynamicStealing
+		}
+		cut := i * 7919 % n
+		var nested atomic.Int64
+		nestedWant := int64(0)
+		switch i % 4 {
+		case 0:
+			For(pool, 0, n, body, opts)
+		case 1:
+			c := new(sched.Canceller)
+			opts.Cancel = c
+			For(pool, 0, n, func(lo, hi int) {
+				body(lo, hi)
+				if lo <= cut && cut < hi {
+					c.Cancel(errStop)
+				}
+			}, opts)
+			if !errors.Is(c.Err(), errStop) {
+				t.Fatalf("loop %d: token not cancelled by its body", i)
+			}
+		case 2:
+			nestedWant = n / 512 * 64
+			ForW(pool, 0, n, func(w *sched.Worker, lo, hi int) {
+				body(lo, hi)
+				for j := lo; j < hi; j++ {
+					if j%512 == 0 {
+						WorkerFor(w, 0, 64, func(l, h int) { nested.Add(int64(h - l)) }, Options{Strategy: Hybrid, Chunk: 4})
+					}
+				}
+			}, opts)
+		case 3:
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("loop %d: body panic not re-raised", i)
+					}
+				}()
+				For(pool, 0, n, func(lo, hi int) {
+					body(lo, hi)
+					if lo <= cut && cut < hi {
+						panic("boom")
+					}
+				}, opts)
+			}()
+		}
+		if i%2 == 1 && next != nil {
+			dead[next] = true
+		}
+		for j := range counts {
+			c := counts[j].Swap(0)
+			if c > 1 || (i%2 == 0 && c != 1) {
+				t.Fatalf("loop %d (%v, kind %d): iteration %d ran %d times", i, opts.Strategy, i%4, j, c)
+			}
+		}
+		if got := nested.Load(); got != nestedWant {
+			t.Fatalf("loop %d: nested loops covered %d iterations, want %d", i, got, nestedWant)
+		}
+		if f := slotFrame(pool); f != nil {
+			if dead[f] {
+				t.Fatalf("loop %d: a frame whose loop was cancelled or panicked is back in the slot", i)
+			}
+			if i%2 == 0 {
+				recycled++
+			}
+		}
+	}
+	if recycled < loops/4 {
+		t.Fatalf("only %d of %d plain loops returned their frame to the slot", recycled, loops/2)
+	}
+}
+
+// trapLoop is a registry entry that traps the first worker other than
+// owner whose probe enters it, until released.
+type trapLoop struct {
+	sched.LoopEntry
+	owner   int
+	sprung  atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *trapLoop) Live() bool { return !b.sprung.Load() }
+
+func (b *trapLoop) TrySteal(w *sched.Worker) bool {
+	if w.ID() == b.owner || !b.sprung.CompareAndSwap(false, true) {
+		return false
+	}
+	close(b.entered)
+	<-b.release
+	return true
+}
+
+// TestHeldFrameIsNotReused: a worker that entered another registered loop
+// through a probe holds a snapshot that also lists the root loop's
+// descriptor, so no loop may run on the root loop's frame while that
+// worker is held. The root loop is DynamicStealing, whose chunk at 0 its
+// owner runs first; that chunk registers the trap, so any probe that
+// reaches the trap validated a snapshot listing the root loop, and waits
+// until the other worker is caught. The frame goes back to the pool's slot
+// flagged; the next loop, run while the trap still holds, must find it
+// held and leave it to the collector, so it is never handed out again.
+func TestHeldFrameIsNotReused(t *testing.T) {
+	pool := sched.NewPool(2, 5)
+	defer pool.Close()
+	opts := Options{Strategy: DynamicStealing, Chunk: 16}
+	nop := func(lo, hi int) {}
+	For(pool, 0, 4096, nop, opts) // fill the slot
+	held := slotFrame(pool)
+	if held == nil {
+		t.Fatal("a plain loop did not recycle its frame")
+	}
+	trap := &trapLoop{entered: make(chan struct{}), release: make(chan struct{})}
+	ForW(pool, 0, 4096, func(w *sched.Worker, lo, hi int) {
+		if lo == 0 {
+			trap.owner = w.ID()
+			pool.RegisterLoopWeighted(trap, 1)
+			<-trap.entered
+		}
+	}, opts)
+	if !held.h.held {
+		t.Fatal("UnregisterLoop did not report the descriptor held by the trapped probe")
+	}
+	For(pool, 0, 4096, nop, opts)
+	reused := slotFrame(pool) == held
+	close(trap.release)
+	pool.UnregisterLoop(trap)
+	if reused {
+		t.Fatal("a loop ran on a frame while a probe still held its descriptor")
+	}
+	for i := 0; i < 100; i++ {
+		For(pool, 0, 4096, nop, opts)
+		if slotFrame(pool) == held {
+			t.Fatalf("loop %d: the held frame is handed out again", i)
+		}
+	}
+}

@@ -6,43 +6,62 @@ import (
 	"hybridloop/internal/trace"
 )
 
-// hybridLoop is one dynamic execution of a hybrid parallel loop: the
-// partition structure A shared by all participating workers plus the
+// hybridLoop is one dynamic execution of a registry-probed parallel loop:
+// the partition structure A shared by all participating workers plus the
 // bookkeeping to join the loop. It implements sched.HybridLoop so idle
-// workers enter via the DoHybridLoop steal protocol.
+// workers enter via the DoHybridLoop steal protocol. A DynamicStealing
+// loop is the same descriptor with no partition set (ps == nil): its
+// thieves only steal halves of published ranges.
 //
 // The body, options and chunk live in rs alone; h.rs.opts is the loop's
-// options.
+// options. A root loop's descriptor lives in its recycled frame and serves
+// one loop after another (see frame).
 type hybridLoop struct {
 	sched.LoopEntry // the registry's record of this loop
 	ps              *core.PartitionSet
 	g               sched.Group // partition completions + outstanding lazy ranges
 	rs              rangeSet    // per-worker steal-half descriptors (doWork state)
+	// held records that UnregisterLoop found an idle probe still holding
+	// the descriptor, which must not be reused until LoopHeld denies it.
+	held bool
 }
+
+// register wires h for a loop over ps (nil for DynamicStealing) and
+// enrolls it in the pool's registry.
+//
+//sched:noalloc
+func (h *hybridLoop) register(w *sched.Worker, ps *core.PartitionSet, body BodyW, opts *Options, chunk int) {
+	pool := w.Pool()
+	h.ps = ps
+	h.g.BindCancel(opts.Cancel)
+	h.rs.init(pool.P(), &h.g, body, opts, chunk)
+	if ps != nil {
+		// Every partition must be executed before the loop completes; the
+		// group counts partition completions (Theorem 3: exactly R of
+		// them) plus, transiently, the published ranges and stolen halves
+		// of the lazy doWork inside each partition.
+		h.g.Add(ps.R())
+	}
+	pool.RegisterLoopWeighted(h, opts.Priority)
+}
+
+// unregister removes h from the registry, recording whether a probe may
+// still hold it. Deferred by the loop's owner, so a body panic re-raised
+// by Wait still removes the loop.
+//
+//sched:noalloc
+func (h *hybridLoop) unregister(pool *sched.Pool) { h.held = pool.UnregisterLoop(h) }
 
 // hybridFor is InitHybridLoop (Algorithm 1): build the partition structure,
 // register the loop for the steal protocol, run DoHybridLoop with the
 // initiating worker's ID, and sync.
+//
+//sched:noalloc
 func hybridFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	p := w.Pool().P()
-	var ps *core.PartitionSet
-	if opts.Weight != nil {
-		ps = core.NewPartitionSetParts(opts.split(begin, end, core.NextPow2(p)))
-	} else {
-		ps = core.NewPartitionSet(begin, end, p)
-	}
-	h := &hybridLoop{ps: ps}
-	h.g.BindCancel(opts.Cancel)
-	h.rs.init(p, &h.g, body, opts, opts.chunk(end-begin, p))
-	// Every partition must be executed before the loop completes; the
-	// group counts partition completions (Theorem 3: exactly R of them)
-	// plus, transiently, the published ranges and stolen halves of the
-	// lazy doWork inside each partition.
-	h.g.Add(ps.R())
-	w.Pool().RegisterLoopWeighted(h, opts.Priority)
-	// Deferred so a body panic re-raised by Wait still removes the loop
-	// from the registry.
-	defer w.Pool().UnregisterLoop(h)
+	h := opts.descriptor()
+	h.register(w, opts.partitions(begin, end, p), body, opts, opts.chunk(end-begin, p))
+	defer h.unregister(w.Pool())
 	h.doHybridLoop(w, false)
 	w.Wait(&h.g)
 }
@@ -52,7 +71,7 @@ func hybridFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 // has stealable iterations. Dead loops are skipped by the steal protocol
 // without touching the flags.
 func (h *hybridLoop) Live() bool {
-	return h.ps.Unclaimed() > 0 || h.rs.active.Load() > 0
+	return (h.ps != nil && h.ps.Unclaimed() > 0) || h.rs.active.Load() > 0
 }
 
 // TrySteal implements the steal protocol of Section III, extended with
@@ -74,7 +93,7 @@ func (h *hybridLoop) TrySteal(w *sched.Worker) bool {
 		h.drain(w)
 		return false
 	}
-	if !h.ps.PeekClaimed(w.ID()) && h.doHybridLoop(w, true) {
+	if h.ps != nil && !h.ps.PeekClaimed(w.ID()) && h.doHybridLoop(w, true) {
 		return true
 	}
 	return h.rs.trySteal(w)
@@ -84,8 +103,12 @@ func (h *hybridLoop) TrySteal(w *sched.Worker) bool {
 // releases the corresponding group holds, so the initiating Wait of a
 // cancelled loop completes instead of blocking on partitions no worker
 // will ever claim. Any worker may drain; the claim flags make each
-// partition's release happen exactly once.
+// partition's release happen exactly once. A loop without partitions has
+// nothing to drain: its owners abandon their published ranges.
 func (h *hybridLoop) drain(w *sched.Worker) {
+	if h.ps == nil {
+		return
+	}
 	for r := 0; r < h.ps.R(); r++ {
 		if h.ps.Claimed(r) || !h.ps.ClaimPartition(r) {
 			continue

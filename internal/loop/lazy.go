@@ -54,14 +54,26 @@ type rangeSet struct {
 	task   sched.RangeTask // eager-fallback task; re-enters runOwned
 }
 
-// initRangeSet wires a rangeSet for a pool of p workers. The single task
-// closure is the only per-loop allocation besides the slot array.
+// init wires rs for one loop on a pool of p workers. The slot array and
+// the eager-fallback task are built on a descriptor's first loop and kept
+// for the next: a loop that completes leaves every slot empty and the
+// active count at zero.
+//
+//sched:noalloc
 func (rs *rangeSet) init(p int, g *sched.Group, body BodyW, opts *Options, chunk int) {
-	rs.slots = make([]deque.RangeSlot, p)
+	if len(rs.slots) != p {
+		rs.build(p)
+	}
 	rs.g = g
 	rs.body = body
 	rs.opts = opts
 	rs.chunk = chunk
+	rs.stride.Store(0)
+}
+
+// build allocates the slot array and the task closure over rs.
+func (rs *rangeSet) build(p int) {
+	rs.slots = make([]deque.RangeSlot, p)
 	rs.task = func(cw *sched.Worker, lo, hi int) { rs.runOwned(cw, lo, hi) }
 }
 
@@ -262,21 +274,3 @@ func (rs *rangeSet) sweepSteal(w *sched.Worker, victims []*sched.Worker, remote 
 	}
 	return false
 }
-
-// lazyLoop adapts a rangeSet to the pool's loop registry so idle workers
-// discover published ranges through the same probe that serves the hybrid
-// steal protocol. DynamicStealing loops register one for their lifetime;
-// thieves then reach the descriptor slots with a registry probe instead
-// of popping pre-spawned subtree nodes off a deque.
-type lazyLoop struct {
-	sched.LoopEntry // the registry's record of this loop
-	rs              rangeSet
-	g               sched.Group
-}
-
-// Live reports whether any published range still holds work. Claim-free
-// loops are live exactly while a slot is outstanding.
-func (l *lazyLoop) Live() bool { return l.rs.active.Load() > 0 }
-
-// TrySteal attempts one steal-half sweep on behalf of idle worker w.
-func (l *lazyLoop) TrySteal(w *sched.Worker) bool { return l.rs.trySteal(w) }

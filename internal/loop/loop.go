@@ -167,6 +167,10 @@ type Options struct {
 	// derive it online. Internal: set from the tuner's chunk-cost estimate
 	// by beginAuto only.
 	pollStride int32
+	// frame is the recycled frame a root loop runs on, whose descriptor,
+	// partition set and token it uses in place of allocating its own.
+	// Internal: set by For/ForW only; nil for nested loops.
+	frame *frame
 }
 
 // split partitions [begin, end) into n ranges honoring the weight hint.
@@ -196,12 +200,17 @@ func (o *Options) chunk(n, p int) int {
 
 // For executes body over [begin, end) on pool using the options' strategy.
 // It must be called from outside the pool; use Worker.For from inside a
-// running task.
+// running task. The loop runs on a recycled frame (see frame), so in the
+// steady state it allocates nothing.
+//
+//sched:noalloc
 func For(pool *sched.Pool, begin, end int, body Body, opts Options) {
 	if end <= begin {
 		return
 	}
-	ForW(pool, begin, end, func(_ *sched.Worker, lo, hi int) { body(lo, hi) }, opts)
+	f := acquireFrame(pool)
+	f.plain = body
+	f.run(pool, begin, end, f.adapt, &opts)
 }
 
 // WorkerFor is For callable from inside a running task (nested loops).
@@ -209,15 +218,14 @@ func WorkerFor(w *sched.Worker, begin, end int, body Body, opts Options) {
 	WorkerForW(w, begin, end, func(_ *sched.Worker, lo, hi int) { body(lo, hi) }, opts)
 }
 
-// ForW is For with a worker-aware body. The root closure and the loop it
-// runs share one heap copy of opts.
+// ForW is For with a worker-aware body.
+//
+//sched:noalloc
 func ForW(pool *sched.Pool, begin, end int, body BodyW, opts Options) {
 	if end <= begin {
 		return
 	}
-	pool.Run(func(w *sched.Worker) {
-		workerForW(w, begin, end, body, &opts)
-	})
+	acquireFrame(pool).run(pool, begin, end, body, &opts)
 }
 
 // WorkerForW is the worker-aware core all loop forms funnel into.
@@ -227,6 +235,8 @@ func WorkerForW(w *sched.Worker, begin, end int, body BodyW, opts Options) {
 
 // workerForW is WorkerForW on the invocation's own copy of the options,
 // which it may rewrite (Auto resolution, the default cancel token).
+//
+//sched:noalloc
 func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	if end <= begin {
 		return
@@ -243,13 +253,13 @@ func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 			defer finish()
 		}
 	}
-	// A panic unwinding out of the strategy dispatch inline on this worker
-	// (as opposed to one captured into the loop's group on another worker,
-	// which the group's BindCancel hook covers) must also trip the token:
-	// otherwise spawned partitions and stolen halves still in flight would
-	// execute to completion with nobody waiting for them. Registered after
-	// beginAuto so it runs before the finish closure, which discards the
-	// truncated sample when it observes the tripped token.
+	// A panic unwinding out of the strategy dispatch must also trip the
+	// token. A strategy captures its own share's panics into the loop's
+	// group, like every other participant's, so the group's BindCancel hook
+	// halts the rest and the join re-raises only once they have finished;
+	// what unwinds here is that re-raise or a serial loop's body. Registered
+	// after beginAuto so it runs before the finish closure, which discards
+	// the truncated sample when it observes the tripped token.
 	defer func() {
 		if r := recover(); r != nil {
 			opts.Cancel.Cancel(sched.ErrPanicked)
@@ -264,10 +274,16 @@ func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 		// Every parallel loop gets a token, even without external
 		// cancellation: the Group hook and the recover above route body
 		// panics through it so the other workers stop within one chunk
-		// instead of grinding through the remaining iterations. Allocated
-		// after the serial shortcut, which involves no other workers and
-		// stays allocation-free.
-		opts.Cancel = new(sched.Canceller)
+		// instead of grinding through the remaining iterations. A root
+		// loop uses its frame's; a nested loop allocates one, after the
+		// serial shortcut, which involves no other workers and stays
+		// allocation-free.
+		if opts.frame != nil {
+			opts.Cancel = &opts.frame.cancel
+		} else {
+			//lint:ignore noalloc a nested loop has no frame
+			opts.Cancel = new(sched.Canceller)
+		}
 	} else if opts.Cancel.Cancelled() {
 		// Already cancelled (a context that expired before the loop
 		// started, or a nested loop under a tripped outer token): run
@@ -286,6 +302,7 @@ func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	case Hybrid:
 		hybridFor(w, begin, end, body, opts)
 	default:
+		//lint:ignore noalloc unreachable for a valid Strategy
 		panic(fmt.Sprintf("loop: unknown strategy %d", int(opts.Strategy)))
 	}
 }
@@ -341,9 +358,10 @@ func staticFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 			runChunk(cw, body, opts, part.Begin, part.End)
 		})
 	}
-	mine := parts[w.ID()]
-	if !mine.Empty() {
-		runChunk(w, body, opts, mine.Begin, mine.End)
+	// Protected, as every share is: a panicking body is re-raised by the
+	// Wait, after the pinned partitions have finished.
+	if mine := parts[w.ID()]; !mine.Empty() {
+		g.Protect(func() { runChunk(w, body, opts, mine.Begin, mine.End) })
 	}
 	w.Wait(&g)
 }
@@ -355,6 +373,8 @@ func staticFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 // discover the loop through the registry probe and CAS off the upper half
 // of the biggest published remainder on demand. When no thief shows up
 // the loop runs with zero per-split deque traffic.
+//
+//sched:noalloc
 func stealingFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	pool := w.Pool()
 	chunk := opts.chunk(end-begin, pool.P())
@@ -362,16 +382,17 @@ func stealingFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 		runChunk(w, body, opts, begin, end)
 		return
 	}
-	l := &lazyLoop{}
-	l.g.BindCancel(opts.Cancel)
-	l.rs.init(pool.P(), &l.g, body, opts, chunk)
-	pool.RegisterLoopWeighted(l, opts.Priority)
-	// Unregister even if the body panics mid-range (the slot itself is
-	// drained by runOwned's unwind path) so the registry never holds a
-	// dead loop.
-	defer pool.UnregisterLoop(l)
-	l.rs.runOwned(w, begin, end)
-	w.Wait(&l.g)
+	h := opts.descriptor()
+	h.register(w, nil, body, opts, chunk)
+	// Unregister even if Wait re-raises a body panic, so the registry never
+	// holds a dead loop.
+	defer h.unregister(pool)
+	// Protected, as a thief's stolen half is: a panicking body abandons the
+	// rest of the range (runOwned's unwind path) and is re-raised by the
+	// Wait, after every thief has finished its half.
+	//lint:ignore noalloc Protect does not retain fn, so the closure stays on the stack
+	h.g.Protect(func() { h.rs.runOwned(w, begin, end) })
+	w.Wait(&h.g)
 }
 
 // sharingFor is OpenMP schedule(dynamic, chunk): every worker joins the
@@ -495,6 +516,8 @@ func teamRun(w *sched.Worker, opts *Options, fn func(cw *sched.Worker)) {
 		}
 		w.Pool().SpawnOn(i, &g, fn)
 	}
-	fn(w)
+	// Protected: a panicking body is re-raised by the Wait, after the rest
+	// of the team has finished.
+	g.Protect(func() { fn(w) })
 	w.Wait(&g)
 }

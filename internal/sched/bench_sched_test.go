@@ -86,13 +86,13 @@ func TestRunAllocFree(t *testing.T) {
 }
 
 // TestForAllocs pins the allocations of one fine-grained Hybrid loop.For
-// on an idle pool at 11: the root closure and its one copy of the options,
-// the body adapter, the cancel token, the partition set (3), the loop
-// descriptor, the range slots and their eager-fallback task, and one
-// registry snapshot — the loop's registry entry is embedded in its
-// descriptor, and unregistering the last loop publishes nil. The public
-// Pool.For adds one more, its own options. Lower is welcome (update the
-// pin); higher is a regression.
+// on an idle pool at zero: the loop runs on a recycled frame holding its
+// options copy, root closure, body adapter, cancel token, partition set,
+// descriptor and range slots, and the registry reuses its snapshot. A
+// frame that an idle probe still holds at the next loop's start is left
+// to the collector and that loop builds a new one; that is rare, and
+// AllocsPerRun's integer average does not count it. Higher is a
+// regression.
 func TestForAllocs(t *testing.T) {
 	pool := sched.NewPool(2, 1)
 	defer pool.Close()
@@ -105,8 +105,31 @@ func TestForAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		loop.For(pool, 0, len(x), body, loop.Options{Strategy: loop.Hybrid, Chunk: 64})
 	})
-	if allocs > 11 {
-		t.Errorf("loop.For allocates %.0f objects per call, want at most 11", allocs)
+	if allocs > 0 {
+		t.Errorf("loop.For allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// idleEntry is a registry entry no probe ever enters.
+type idleEntry struct{ sched.LoopEntry }
+
+func (*idleEntry) Live() bool                  { return false }
+func (*idleEntry) TrySteal(*sched.Worker) bool { return false }
+
+// TestRegistryRoundTripAllocFree pins the register/unregister round trip
+// of a lone loop at zero allocations: the entry is embedded in the
+// descriptor, and the snapshot the unregister retires is reused by the
+// next register once no probe holds it.
+func TestRegistryRoundTripAllocFree(t *testing.T) {
+	pool := sched.NewPool(2, 1)
+	defer pool.Close()
+	l := &idleEntry{}
+	allocs := testing.AllocsPerRun(1000, func() {
+		pool.RegisterLoopWeighted(l, 1)
+		pool.UnregisterLoop(l)
+	})
+	if allocs != 0 {
+		t.Errorf("register/unregister allocates %.1f objects per round trip, want 0", allocs)
 	}
 }
 

@@ -193,7 +193,7 @@ func TestDemandQuiescesAfterLastUnregister(t *testing.T) {
 	p := NewPool(2, 3)
 	defer p.Close()
 	l := &idleLoop{}
-	p.RegisterLoop(l)
+	p.RegisterLoopWeighted(l, 1)
 	p.UnregisterLoop(l)
 	if !waitDemandZero(p) {
 		t.Fatal("demand count still nonzero after the last loop unregistered and the pool quiesced")

@@ -67,6 +67,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hybridloop/internal/deque"
 	"hybridloop/internal/rng"
@@ -267,6 +268,10 @@ type Pool struct {
 	// frame with a Swap/CAS pair instead of sync.Pool's pin/unpin round
 	// trip. Concurrent Runs overflow to rootCallPool.
 	rootCache atomic.Pointer[rootCall]
+	// frame is the loop layer's single-slot cache for the scratch frame of
+	// a loop started from outside the pool (see TakeFrame); nil when empty.
+	// Beside rootCache: the same caller writes both at the same moment.
+	frame atomic.Pointer[byte]
 	// runs counts the Runs in flight. With at most one (solo), the caller
 	// borrows and idle workers spin; see borrow and spin.
 	runs atomic.Int64
@@ -275,9 +280,12 @@ type Pool struct {
 	// borrowed work would run on the caller's thread). Immutable.
 	lockThreads bool
 
-	loopsMu    sync.Mutex               // serializes Register/Unregister
-	loops      atomic.Pointer[loopSnap] // immutable snapshot, lock-free probes; nil when empty
-	nextLoopID atomic.Uint64            // per-pool loop IDs for attribution
+	loopsMu sync.Mutex // serializes Register/Unregister, snapshot reuse and LiveLoops
+	// loops is the published registry snapshot, read lock-free by idle
+	// probes under their hazard slot (see Worker.hazard); nil when empty.
+	loops      atomic.Pointer[loopSnap]
+	spareSnap  *loopSnap     // a retired snapshot, reused once no probe holds it; guarded by loopsMu
+	nextLoopID atomic.Uint64 // per-pool loop IDs for attribution
 }
 
 // LoopEntry is one registered loop plus the fairness metadata the steal
@@ -288,9 +296,10 @@ type Pool struct {
 // outranks a giant loop that has already absorbed many workers — the
 // deficit-weighted round-robin that keeps one loop from starving the rest.
 //
-// Every HybridLoop embeds one; the fields are written once, by the
-// registration that publishes the entry, and a loop is registered at most
-// once.
+// Every HybridLoop embeds one; the fields are written by the
+// registration that publishes the entry. A loop is registered at most once
+// at a time; a recycled descriptor registers again for its next run, once
+// no probe still holds it (see UnregisterLoop and LoopHeld).
 type LoopEntry struct {
 	l      HybridLoop
 	id     uint64
@@ -300,24 +309,47 @@ type LoopEntry struct {
 
 func (e *LoopEntry) entry() *LoopEntry { return e }
 
-// loopSnap is one immutable registry snapshot. Registries of up to
-// len(inline) loops — every single-tenant program, and a gated server's
-// handful of in-flight loops — keep their entries inside the snapshot, so
-// publishing one costs exactly one allocation.
+// loopSnap is one registry snapshot, immutable while published. Registries
+// of up to len(inline) loops — every single-tenant program, and a gated
+// server's handful of in-flight loops — keep their entries inside the
+// snapshot, and a replaced inline snapshot is reused for the next
+// publication once no probe holds it (see newLoopSnap), so the steady
+// register/unregister round trip of a lone loop allocates nothing.
 type loopSnap struct {
 	list   []*LoopEntry
 	inline [4]*LoopEntry
 }
 
-// newLoopSnap returns a snapshot with room for n entries.
-func newLoopSnap(n int) *loopSnap {
-	s := &loopSnap{}
+// newLoopSnap returns a snapshot with room for n entries: the spare one
+// when it fits and no hazard slot names it. Called with loopsMu held.
+//
+//sched:noalloc
+func (p *Pool) newLoopSnap(n int) *loopSnap {
+	s := p.spareSnap
+	if s != nil && n <= len(s.inline) && !p.hazarded(s, nil) {
+		p.spareSnap = nil
+		s.inline = [len(s.inline)]*LoopEntry{}
+	} else {
+		//lint:ignore noalloc no spare, a probe holds it, or more than len(inline) loops live: a fresh snapshot
+		s = &loopSnap{}
+	}
 	if n <= len(s.inline) {
 		s.list = s.inline[:n]
 	} else {
+		//lint:ignore noalloc more than len(inline) loops live at once
 		s.list = make([]*LoopEntry, n)
 	}
 	return s
+}
+
+// lists reports whether the snapshot holds e.
+func (s *loopSnap) lists(e *LoopEntry) bool {
+	for _, x := range s.list {
+		if x == e {
+			return true
+		}
+	}
+	return false
 }
 
 // LoopInfo is a snapshot of one registered loop's fairness state, for
@@ -599,6 +631,25 @@ func (p *Pool) Run(root func(w *Worker)) {
 		}
 		panic(&TaskPanicError{Value: tp.value, Stack: tp.stack})
 	}
+}
+
+// TakeFrame and PutFrame are a pool's single-slot cache for the loop
+// layer's per-loop scratch frame, the counterpart of rootCache one layer
+// up: a steady-state caller recycles one frame with a Swap/CAS pair, and a
+// caller that finds the slot taken falls back to its own sync.Pool. The
+// slot is untyped so that sched need not know the frame; every call on a
+// pool must use the same T.
+//
+// TakeFrame empties the slot and returns what it held, or nil.
+//
+//sched:noalloc
+func TakeFrame[T any](p *Pool) *T { return (*T)(unsafe.Pointer(p.frame.Swap(nil))) }
+
+// PutFrame stores f in the empty slot and reports whether it did.
+//
+//sched:noalloc
+func PutFrame[T any](p *Pool, f *T) bool {
+	return p.frame.CompareAndSwap(nil, (*byte)(unsafe.Pointer(f)))
 }
 
 // solo reports whether at most one Run is in flight: the iterative regime,
@@ -916,79 +967,134 @@ func (p *Pool) notifyWorker(w *Worker) {
 	w.wake()
 }
 
-// RegisterLoop enrolls a live hybrid loop in the steal protocol with the
-// default weight 1 and wakes one parked worker; further participants are
-// recruited by wake chaining as claims observe unclaimed partitions.
-func (p *Pool) RegisterLoop(l HybridLoop) {
-	p.RegisterLoopWeighted(l, 1)
-}
-
-// RegisterLoopWeighted is RegisterLoop with an explicit fairness weight:
-// idle workers probe live loops in ascending served/weight order, so a
-// loop with weight 2 is entitled to roughly twice the steal-protocol
-// entries of a weight-1 loop under contention. Weights below 1 are
-// clamped to 1. The loop's embedded LoopEntry is the registry record, so
-// the only allocation is the published snapshot.
+// RegisterLoopWeighted enrolls a live hybrid loop in the steal protocol
+// and wakes one parked worker; further participants are recruited by wake
+// chaining as claims observe unclaimed partitions. Idle workers probe live
+// loops in ascending served/weight order, so a loop with weight 2 is
+// entitled to roughly twice the steal-protocol entries of a weight-1 loop
+// under contention. Weights below 1 are clamped to 1. The loop's embedded
+// LoopEntry is the registry record, and the published snapshot is reused
+// when one is spare, so registering usually allocates nothing.
+//
+//sched:noalloc
 func (p *Pool) RegisterLoopWeighted(l HybridLoop, weight int) {
 	if weight < 1 {
 		weight = 1
 	}
 	e := l.entry()
-	e.l, e.id, e.weight = l, p.nextLoopID.Add(1), int32(weight)
 	p.loopsMu.Lock()
-	old := p.loopList()
-	s := newLoopSnap(len(old) + 1)
-	copy(s.list, old)
-	s.list[len(old)] = e
+	e.l, e.id, e.weight = l, p.nextLoopID.Add(1), int32(weight)
+	e.served.Store(0)
+	old := p.loops.Load()
+	var n int
+	if old != nil {
+		n = len(old.list)
+	}
+	s := p.newLoopSnap(n + 1)
+	if old != nil {
+		copy(s.list, old.list)
+	}
+	s.list[n] = e
 	p.loops.Store(s)
+	if old != nil {
+		p.retire(old)
+	}
 	p.loopsMu.Unlock()
 	p.notify()
 }
 
-// UnregisterLoop removes a hybrid loop from the steal protocol registry.
-// Removing the last loop publishes nil rather than an empty snapshot, so
-// the register/unregister round trip of a lone loop allocates once. No
-// demand cleanup is needed on the last unregister: the demand count is
-// exact per-worker accounting that a hungry worker retires itself when it
-// finds work or parks, so it cannot go stale across loops.
-func (p *Pool) UnregisterLoop(l HybridLoop) {
+// UnregisterLoop removes a hybrid loop from the steal protocol registry
+// and reports whether an idle probe may still hold it, as LoopHeld does.
+// An owner that wants to reuse l's descriptor for another loop may do so
+// only once l is not held. Removing the last loop publishes nil rather
+// than an empty snapshot. No demand cleanup is needed on the last
+// unregister: the demand count is exact per-worker accounting that a
+// hungry worker retires itself when it finds work or parks, so it cannot
+// go stale across loops.
+//
+//sched:noalloc
+func (p *Pool) UnregisterLoop(l HybridLoop) (held bool) {
 	e := l.entry()
 	p.loopsMu.Lock()
 	defer p.loopsMu.Unlock()
-	old := p.loopList()
-	i := 0
-	for i < len(old) && old[i] != e {
-		i++
+	old := p.loops.Load()
+	if old == nil || !old.lists(e) {
+		return false
 	}
-	switch {
-	case i == len(old):
-		return
-	case len(old) == 1:
-		p.loops.Store(nil)
-		return
+	var s *loopSnap
+	if n := len(old.list); n > 1 {
+		s = p.newLoopSnap(n - 1)
+		i := 0
+		for _, x := range old.list {
+			if x != e {
+				s.list[i] = x
+				i++
+			}
+		}
 	}
-	s := newLoopSnap(len(old) - 1)
-	copy(s.list, old[:i])
-	copy(s.list[i:], old[i+1:])
 	p.loops.Store(s)
+	p.retire(old)
+	return p.hazarded(nil, e)
 }
 
-// loopList returns the current registered-loop snapshot without copying:
-// Register/Unregister publish fresh immutable snapshots, so the per-probe
-// copy the old mutex+snapshot scheme made on every idle probe is gone.
-func (p *Pool) loopList() []*LoopEntry {
-	s := p.loops.Load()
-	if s == nil {
-		return nil
+// LoopHeld reports whether an idle probe may still hold the unregistered
+// loop l: whether some worker's hazard slot names a snapshot that lists l,
+// so that worker may yet call l's Live or TrySteal. A probe holds its
+// snapshot for tens of nanoseconds unless it runs a body, so an owner that
+// finds its descriptor held at UnregisterLoop asks again before reusing it.
+//
+//sched:noalloc
+func (p *Pool) LoopHeld(l HybridLoop) bool {
+	p.loopsMu.Lock()
+	defer p.loopsMu.Unlock()
+	return p.hazarded(nil, l.entry())
+}
+
+// retire keeps old, just replaced by a publication, as the spare snapshot
+// when its entries fit inline; newLoopSnap reuses it once no probe holds
+// it. Called with loopsMu held.
+//
+//sched:noalloc
+func (p *Pool) retire(old *loopSnap) {
+	if len(old.list) <= len(old.inline) {
+		p.spareSnap = old
 	}
-	return s.list
+}
+
+// hazarded is one O(P) scan of the workers' hazard slots: it reports
+// whether a slot names s or a snapshot listing e (either may be nil).
+// Called with loopsMu held, which orders it against every rewrite of a
+// snapshot, so the lists it reads are stable.
+//
+// A probe publishes its snapshot before touching any entry and validates
+// it by re-loading p.loops (see Worker.hazard). Every publication that
+// unpublished s, or removed e, precedes this scan, so a probe whose
+// hazard store the scan missed re-loads a later snapshot and retries: it
+// cannot reach e, nor s's storage once reused.
+//
+//sched:noalloc
+func (p *Pool) hazarded(s *loopSnap, e *LoopEntry) bool {
+	for _, w := range p.workers {
+		h := w.hazard.Load()
+		if h != nil && (h == s || (e != nil && h.lists(e))) {
+			return true
+		}
+	}
+	return false
 }
 
 // LiveLoops snapshots the fairness state of every registered loop, for
 // per-loop attribution in stats/trace consumers (the examples/server
-// /stats endpoint renders it). Ordered by registration.
+// /stats endpoint renders it). Ordered by registration. It reads the
+// registry under loopsMu, as a non-worker caller has no hazard slot: no
+// snapshot is rewritten and no entry reregistered while it holds the lock.
 func (p *Pool) LiveLoops() []LoopInfo {
-	ls := p.loopList()
+	p.loopsMu.Lock()
+	defer p.loopsMu.Unlock()
+	var ls []*LoopEntry
+	if s := p.loops.Load(); s != nil {
+		ls = s.list
+	}
 	out := make([]LoopInfo, len(ls))
 	for i, e := range ls {
 		out[i] = LoopInfo{
@@ -1177,6 +1283,19 @@ type Worker struct {
 	parks             atomic.Int64 // committed park transitions (blocking slow path only)
 	busyNanos         atomic.Int64 // time in busy bursts (timeAcct only)
 	idleNanos         atomic.Int64 // time parked (timeAcct only)
+	// hazard is the registry snapshot this worker's current loop probe
+	// reads, published before the probe touches any entry and cleared
+	// after (tryLoopProtocol). Pool.hazarded scans every worker's slot:
+	// an owner reuses a loop descriptor, or a snapshot's storage, only
+	// when no slot names a snapshot that lists or is it.
+	//
+	//sched:protocol hazard
+	//sched:state clear = nil
+	//sched:state held = dyn
+	//sched:trans any -> held
+	//sched:trans any -> clear
+	hazard atomic.Pointer[loopSnap]
+	_      [56]byte // to a whole number of cache lines
 }
 
 // NoteRangeSteal records one successful steal-half of a published range
@@ -1518,12 +1637,54 @@ func (w *Worker) findAndRunOne() bool {
 // so on. A giant loop that has already absorbed many steal-protocol
 // entries therefore cannot monopolize idle workers: a freshly registered
 // small or high-weight loop wins the next probe.
+//
+// The probe holds the snapshot it reads in w's hazard slot for its whole
+// duration (see Worker.hazard). A probe nested inside this one — a body
+// run by TrySteal that waits on a nested loop — leaves the slot holding
+// the current snapshot, not the outer probe's: that one may have been
+// reused since, while the current one still lists the loop the outer probe
+// entered, as w is among that loop's participants until its body returns.
 func (w *Worker) tryLoopProtocol() bool {
-	entries := w.pool.loopList()
+	if w.pool.loops.Load() == nil {
+		return false
+	}
+	nested := w.hazard.Load() != nil
+	ok := false
+	if s := w.protectLoops(); s != nil {
+		ok = w.probeLoops(s.list)
+	}
+	if nested {
+		w.protectLoops()
+	} else {
+		w.hazard.Store(nil)
+	}
+	return ok
+}
+
+// protectLoops publishes the current registry snapshot in w's hazard
+// slot and returns it once a re-load of the registry confirms it is still
+// current, or nil when the registry is empty. From the confirming re-load
+// until the slot is overwritten, no owner reuses the snapshot or any
+// descriptor it lists (see Pool.hazarded).
+//
+//sched:noalloc
+func (w *Worker) protectLoops() *loopSnap {
+	s := w.pool.loops.Load()
+	for s != nil {
+		w.hazard.Store(s)
+		t := w.pool.loops.Load()
+		if t == s {
+			return s
+		}
+		s = t
+	}
+	return nil
+}
+
+// probeLoops runs the steal protocol over a protected snapshot's entries.
+func (w *Worker) probeLoops(entries []*LoopEntry) bool {
 	n := len(entries)
 	switch {
-	case n == 0:
-		return false
 	case n == 1:
 		e := entries[0]
 		if e.l.Live() && e.l.TrySteal(w) {
@@ -1606,7 +1767,7 @@ func (w *Worker) trySteal() (spawned, bool) {
 	// loop's lifetime. A sweep that races a registration and skips the
 	// raise is covered within one poll window: the worker parks almost
 	// immediately and nparked, which Demand() checks first, takes over.
-	if !w.hungry && len(w.pool.loopList()) > 0 {
+	if !w.hungry && w.pool.loops.Load() != nil {
 		w.noteHungry()
 	}
 	return spawned{}, false

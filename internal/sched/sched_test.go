@@ -187,7 +187,7 @@ func TestStealProtocolProbesRegisteredLoops(t *testing.T) {
 	withPool(t, 4, func(pool *Pool) {
 		f := &fakeLoop{}
 		f.live.Store(true)
-		pool.RegisterLoop(f)
+		pool.RegisterLoopWeighted(f, 1)
 		defer pool.UnregisterLoop(f)
 		// Give idle workers the chance to probe: wake them all with pinned
 		// no-ops (an empty Run wakes no one when it borrows) and wait for
@@ -210,7 +210,7 @@ func TestUnregisterLoopStopsProbing(t *testing.T) {
 	withPool(t, 2, func(pool *Pool) {
 		f := &fakeLoop{}
 		f.live.Store(true)
-		pool.RegisterLoop(f)
+		pool.RegisterLoopWeighted(f, 1)
 		pool.UnregisterLoop(f)
 		// Each poke drives every other worker through a full sweep, the
 		// registry probe included.
