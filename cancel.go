@@ -63,22 +63,11 @@ func (p *Pool) forErr(begin, end int, body func(lo, hi int) error, opts []ForOpt
 	} else if release != nil {
 		defer release()
 	}
-	c := new(sched.Canceller)
 	o := p.options(opts, skip)
-	o.Cancel = c
 	if p.mreg != nil {
 		defer p.observeLoop(&o, time.Now())
 	}
-	s := p.s
-	loop.ForW(s, begin, end, func(_ *Worker, lo, hi int) {
-		if err := body(lo, hi); err != nil && c.Cancel(err) {
-			// First error: wake every parked worker so the drain of the
-			// dying loop (claim releases, slot poisoning) is not left to
-			// the one worker blocked in the join.
-			s.WakeAll()
-		}
-	}, o)
-	return c.Err()
+	return loop.ForErr(p.s, begin, end, body, o)
 }
 
 // ForCtx executes body over [begin, end) in parallel like For, stopping
@@ -114,19 +103,9 @@ func (p *Pool) ForCtx(ctx context.Context, begin, end int, body Body, opts ...Fo
 		p.forUngated(begin, end, body, opts)
 		return nil
 	}
-	c := new(sched.Canceller)
 	o := p.options(opts, 1)
-	o.Cancel = c
 	if p.mreg != nil {
 		defer p.observeLoop(&o, time.Now())
 	}
-	s := p.s
-	stop := context.AfterFunc(ctx, func() {
-		if c.Cancel(ctx.Err()) {
-			s.WakeAll()
-		}
-	})
-	defer stop()
-	loop.For(s, begin, end, body, o)
-	return c.Err()
+	return loop.ForCtx(p.s, ctx, begin, end, body, o)
 }

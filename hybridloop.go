@@ -37,6 +37,8 @@ package hybridloop
 import (
 	"context"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybridloop/internal/adaptive"
@@ -103,10 +105,14 @@ type Body = loop.Body
 
 // Pool is a work-stealing scheduler with a fixed set of workers.
 type Pool struct {
-	s           *sched.Pool
-	tuner       *adaptive.Tuner
-	gate        *sched.Gate      // admission control; nil = ungated
-	mreg        *MetricsRegistry // metrics plane; nil = metrics off
+	s     *sched.Pool
+	tuner *adaptive.Tuner
+	gate  *sched.Gate      // admission control; nil = ungated
+	mreg  *MetricsRegistry // metrics plane; nil = metrics off
+	// series caches the loop-duration and loop-count handles by (site,
+	// strategy), copied on write under seriesMu (see observe).
+	series      atomic.Pointer[map[loopSeriesKey]loopSeries]
+	seriesMu    sync.Mutex
 	strategy    Strategy
 	chunk       int
 	seed        uint64
@@ -226,7 +232,11 @@ func (p *Pool) ResetStats() { p.s.ResetStats() }
 // nested parallel loops via For. When it is the only call in flight on
 // the pool, the calling goroutine stands in for an idle worker and runs
 // root itself under that worker's identity; beside other calls, or under
-// WithOSThreads, a worker goroutine runs it.
+// WithOSThreads, a worker goroutine runs it and then hands its processor
+// straight back to the caller, unless it had interrupted a loop to run
+// root. Loops go through the same path, and there a loop's caller also
+// gets the processor from a worker that interrupted a loop of lower
+// priority (see WithPriority).
 func (p *Pool) Run(root func(w *Worker)) { p.s.Run(root) }
 
 // ForOption configures a single parallel loop.

@@ -184,7 +184,7 @@ func (rs *rangeSet) runOwned(w *sched.Worker, lo, hi int) {
 		// leaves this loop's published range stealable, so its load
 		// balancing continues underneath the helper.
 		if pool.InjectPending() {
-			pool.HelpOneInjected(w)
+			pool.HelpOneInjected(w, rs.opts.Priority)
 		}
 	}
 }

@@ -61,27 +61,69 @@ func (p *Pool) registerPoolMetrics() {
 // recent history behind the _recent quantile series.
 const loopDurationWindows = 6
 
+// loopSeries are the handles of one (site, strategy) series of the loop
+// duration and loop count families.
+type loopSeries struct {
+	dur *metrics.Windowed
+	n   *metrics.Counter
+}
+
+type loopSeriesKey struct{ site, strategy string }
+
 // observeLoop records one completed loop submission. Called via defer
 // with time.Now() captured at the defer statement, so start is the
-// submission time. The registry lookup is two RWMutex read-locked map
-// probes per loop — noise next to loop setup, and nothing at all when
-// metrics are off (callers check p.mreg first).
+// submission time. Callers check p.mreg first, so metrics off costs
+// nothing.
 func (p *Pool) observeLoop(o *loop.Options, start time.Time) {
-	ls := metrics.L("site", o.Label, "strategy", o.Strategy.String())
-	p.mreg.Windowed("hybridloop_loop_duration_seconds",
-		"wall time of public loop calls, submission to join", ls, nil, loopDurationWindows).
-		ObserveSince(start)
-	p.mreg.Counter("hybridloop_loops_total", "public loop calls completed", ls).Inc()
+	p.observe(loopSeriesKey{o.Label, o.Strategy.String()}, start)
 }
 
 // observeInline records a loop submission the admission gate degraded to
 // a serial inline run (the scheduler never saw it, so observeLoop's
 // strategy label would be a lie).
 func (p *Pool) observeInline(start time.Time) {
-	p.mreg.Windowed("hybridloop_loop_duration_seconds",
-		"wall time of public loop calls, submission to join",
-		metrics.L("site", "", "strategy", "inline"), nil, loopDurationWindows).
-		ObserveSince(start)
-	p.mreg.Counter("hybridloop_loops_total", "public loop calls completed",
-		metrics.L("site", "", "strategy", "inline")).Inc()
+	p.observe(loopSeriesKey{"", "inline"}, start)
+}
+
+// observe times one loop call into k's series. The handles come from the
+// pool's copy-on-write cache, one atomic load and a map probe with no
+// allocation; the registry is asked only for a pair not seen before, and
+// as labels are a closed set the cache stops growing.
+func (p *Pool) observe(k loopSeriesKey, start time.Time) {
+	var s loopSeries
+	ok := false
+	if m := p.series.Load(); m != nil {
+		s, ok = (*m)[k]
+	}
+	if !ok {
+		s = p.addSeries(k)
+	}
+	s.dur.ObserveSince(start)
+	s.n.Inc()
+}
+
+// addSeries registers k's series and publishes a cache that holds them.
+func (p *Pool) addSeries(k loopSeriesKey) loopSeries {
+	p.seriesMu.Lock()
+	defer p.seriesMu.Unlock()
+	old := p.series.Load()
+	if old != nil {
+		if s, ok := (*old)[k]; ok {
+			return s
+		}
+	}
+	ls := metrics.L("site", k.site, "strategy", k.strategy)
+	s := loopSeries{
+		dur: p.mreg.Windowed("hybridloop_loop_duration_seconds",
+			"wall time of public loop calls, submission to join", ls, nil, loopDurationWindows),
+		n: p.mreg.Counter("hybridloop_loops_total", "public loop calls completed", ls),
+	}
+	m := map[loopSeriesKey]loopSeries{k: s}
+	if old != nil {
+		for k2, s2 := range *old {
+			m[k2] = s2
+		}
+	}
+	p.series.Store(&m)
+	return s
 }

@@ -56,7 +56,9 @@ func Reduce[T any](p *Pool, begin, end, blockSize int, identity T,
 // Sum is Reduce specialized to float64 addition over a per-index value
 // function — the common dot-product/norm shape.
 func Sum(p *Pool, begin, end int, f func(i int) float64, opts ...ForOption) float64 {
-	opts = append(opts, withSite(callerPC(1)))
+	// A full slice expression, so the append copies: writing into spare
+	// capacity of the caller's array would race other callers sharing it.
+	opts = append(opts[:len(opts):len(opts)], withSite(callerPC(1)))
 	return Reduce(p, begin, end, 0, 0.0,
 		func(lo, hi int) float64 {
 			var s float64

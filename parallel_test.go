@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,33 @@ func TestReduceDeterministicAcrossStrategies(t *testing.T) {
 		if got != want {
 			t.Fatalf("%v: Sum = %v, want bitwise %v", s, got, want)
 		}
+	}
+}
+
+// TestSumSharedOptions: goroutines passing one options slice with spare
+// capacity to Sum must not write into its backing array (run with -race),
+// and each still gets the exact sum.
+func TestSumSharedOptions(t *testing.T) {
+	pool := hybridloop.NewPool(2)
+	defer pool.Close()
+	shared := make([]hybridloop.ForOption, 1, 4)
+	shared[0] = hybridloop.WithChunk(64)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				if got := hybridloop.Sum(pool, 0, 4096, func(i int) float64 { return 1 }, shared...); got != 4096 {
+					t.Errorf("Sum = %v, want 4096", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if shared[:cap(shared)][1] != nil {
+		t.Fatal("Sum wrote into the spare capacity of the caller's options")
 	}
 }
 
