@@ -1,10 +1,12 @@
 package loop
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hybridloop/internal/sched"
 )
@@ -22,14 +24,14 @@ func slotFrame(pool *sched.Pool) *frame {
 // TestFrameRecyclingStress runs thousands of back-to-back root loops on a
 // four-worker pool whose idle workers keep probing the registry, beside a
 // goroutine reading LiveLoops. Plain loops (some with nested loops in
-// their chunks) alternate with loops cancelled mid-run through an
-// external token, as ForErr lowers an error, and with loops whose body
+// their chunks) alternate with loops cancelled mid-run, through an
+// external token or by a ForErr body's error, and with loops whose body
 // panics. Every plain loop must tile its range exactly once, and a
 // cancelled or panicked one must run no iteration twice. A frame whose
-// loop was cancelled or panicked must never be handed out again: the frame
-// a loop will run on is the one in the pool's slot, so the slot is read
-// before and after every loop. Run under -race by make race and make
-// stress.
+// loop panicked must never be handed out again, and a frame in the slot
+// must carry a live token that watches no context: the frame a loop will
+// run on is the one in the pool's slot, so the slot is read before and
+// after every loop. Run under -race by make race and make stress.
 func TestFrameRecyclingStress(t *testing.T) {
 	const loops, n = 3000, 2048
 	pool := sched.NewPool(4, 17)
@@ -65,7 +67,7 @@ func TestFrameRecyclingStress(t *testing.T) {
 	for i := 0; i < loops; i++ {
 		next := slotFrame(pool)
 		if next != nil && dead[next] {
-			t.Fatalf("loop %d: a frame whose loop was cancelled or panicked is handed out again", i)
+			t.Fatalf("loop %d: a frame whose loop panicked is handed out again", i)
 		}
 		opts := Options{Strategy: Hybrid, Chunk: 16}
 		if i%3 == 0 {
@@ -78,6 +80,19 @@ func TestFrameRecyclingStress(t *testing.T) {
 		case 0:
 			For(pool, 0, n, body, opts)
 		case 1:
+			if i%8 == 5 {
+				err := ForErr(pool, 0, n, func(lo, hi int) error {
+					body(lo, hi)
+					if lo <= cut && cut < hi {
+						return errStop
+					}
+					return nil
+				}, opts)
+				if !errors.Is(err, errStop) {
+					t.Fatalf("loop %d: ForErr returned %v, want its body's error", i, err)
+				}
+				break
+			}
 			c := new(sched.Canceller)
 			opts.Cancel = c
 			For(pool, 0, n, func(lo, hi int) {
@@ -114,7 +129,7 @@ func TestFrameRecyclingStress(t *testing.T) {
 				}, opts)
 			}()
 		}
-		if i%2 == 1 && next != nil {
+		if i%4 == 3 && next != nil {
 			dead[next] = true
 		}
 		for j := range counts {
@@ -128,7 +143,10 @@ func TestFrameRecyclingStress(t *testing.T) {
 		}
 		if f := slotFrame(pool); f != nil {
 			if dead[f] {
-				t.Fatalf("loop %d: a frame whose loop was cancelled or panicked is back in the slot", i)
+				t.Fatalf("loop %d: a frame whose loop panicked is back in the slot", i)
+			}
+			if f.cancel.Err() != nil || f.cancel.Watching() {
+				t.Fatalf("loop %d (kind %d): the frame in the slot carries a used token", i, i%4)
 			}
 			if i%2 == 0 {
 				recycled++
@@ -203,5 +221,58 @@ func TestHeldFrameIsNotReused(t *testing.T) {
 		if slotFrame(pool) == held {
 			t.Fatalf("loop %d: the held frame is handed out again", i)
 		}
+	}
+}
+
+// TestHeldFrameWatchedTokenIsReplaced: a ForCtx loop whose frame a probe
+// still holds at release leaves its token watching the caller's context,
+// and a poll of that token by the stale probe, after the caller cancels
+// its context, trips it. The frame must reach its next loop with a fresh
+// token: a plain For on it then runs every iteration, where one on the
+// tripped token would drain its partitions and run none.
+func TestHeldFrameWatchedTokenIsReplaced(t *testing.T) {
+	pool := sched.NewPool(2, 5)
+	defer pool.Close()
+	opts := Options{Strategy: DynamicStealing, Chunk: 16}
+	For(pool, 0, 4096, func(lo, hi int) {}, opts) // fill the slot
+	held := slotFrame(pool)
+	if held == nil {
+		t.Fatal("a plain loop did not recycle its frame")
+	}
+	trap := &trapLoop{entered: make(chan struct{}), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	err := ForCtx(pool, ctx, 0, 4096, func(lo, hi int) {
+		if lo == 0 {
+			trap.owner = -1
+			pool.RegisterLoopWeighted(trap, 1)
+			<-trap.entered
+		}
+	}, opts)
+	if err != nil {
+		t.Fatalf("ForCtx on a live context returned %v", err)
+	}
+	if !held.h.held {
+		t.Fatal("UnregisterLoop did not report the descriptor held by the trapped probe")
+	}
+	cancel()
+	// The stale probe's poll, through the options it can still reach.
+	if !held.opts.Cancel.Cancelled() {
+		t.Fatal("a poll of the held frame's old token did not see its cancelled context")
+	}
+	close(trap.release)
+	pool.UnregisterLoop(trap)
+	for deadline := time.Now().Add(10 * time.Second); pool.LoopHeld(&held.h); {
+		if time.Now().After(deadline) {
+			t.Fatal("the trapped probe never released the frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if slotFrame(pool) != held {
+		t.Fatal("the held frame is not the one the next loop runs on")
+	}
+	var ran atomic.Int64
+	For(pool, 0, 4096, func(lo, hi int) { ran.Add(int64(hi - lo)) }, opts)
+	if got := ran.Load(); got != 4096 {
+		t.Fatalf("the next loop on the frame ran %d of 4096 iterations", got)
 	}
 }
