@@ -39,13 +39,14 @@ lint:
 protodoc:
 	$(GO) run ./cmd/schedlint -protodoc DESIGN.md ./...
 
-## race: race-detect the scheduler hot path and the metrics plane
-## (includes the stress tests), and the IS ranking round, whose segments
-## write disjoint rows and whose prefix ranges write disjoint columns of
-## one histogram slab
+## race: race-detect the scheduler hot path, the metrics plane (includes
+## the stress tests) and the generators; and the NAS kernels whose workers
+## write disjoint parts of one array: the IS ranking round (rows and
+## columns of one histogram slab), the parallel input fills of IS and FT
+## (blocks of the key and element arrays), FT's passes and MG's sweeps
 race:
-	$(GO) test -race -count=1 $(SCHED_PKGS) ./internal/metrics/
-	$(GO) test -race -count=1 -run 'TestIS|TestNPBIS' ./internal/nas/
+	$(GO) test -race -count=1 $(SCHED_PKGS) ./internal/metrics/ ./internal/rng/
+	$(GO) test -race -count=1 -run 'TestIS|TestNPBIS|TestFT|TestMG' ./internal/nas/
 
 ## stress: race-detect the borrow-protocol, cancellation,
 ## error-propagation, steal-path, nested-loop and metrics-plane stress

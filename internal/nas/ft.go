@@ -110,12 +110,20 @@ func (st *ftState) pass1(pf forRange, sign float64) {
 	})
 }
 
+// ftLineMax is the longest line the strided passes gather into a buffer
+// on the stack; a longer one is allocated once per chunk.
+const ftLineMax = 256
+
 // pass2 transforms along dimension 2 (stride N1): pencils are (i, k)
 // pairs; each gathers its line into a buffer, transforms, scatters back.
 func (st *ftState) pass2(pf forRange, sign float64) {
 	n1, n2 := st.f.N1, st.f.N2
 	pf(st.f.N1*st.f.N3, func(lo, hi int) {
-		line := make([]complex128, n2)
+		var buf [ftLineMax]complex128
+		line := buf[:min(n2, ftLineMax)]
+		if n2 > ftLineMax {
+			line = make([]complex128, n2)
+		}
 		for p := lo; p < hi; p++ {
 			i, k := p%n1, p/n1
 			base := st.at(i, 0, k)
@@ -135,7 +143,11 @@ func (st *ftState) pass3(pf forRange, sign float64) {
 	n1, n2, n3 := st.f.N1, st.f.N2, st.f.N3
 	stride := n1 * n2
 	pf(n1*n2, func(lo, hi int) {
-		line := make([]complex128, n3)
+		var buf [ftLineMax]complex128
+		line := buf[:min(n3, ftLineMax)]
+		if n3 > ftLineMax {
+			line = make([]complex128, n3)
+		}
 		for p := lo; p < hi; p++ {
 			for k := 0; k < n3; k++ {
 				line[k] = st.x[p+k*stride]
@@ -198,14 +210,13 @@ func (st *ftState) checksum() complex128 {
 	return s / complex(float64(st.volume), 0)
 }
 
-// run executes the kernel with the given loop driver.
-func (f FT) run(pf forRange) FTResult {
-	f = f.defaults()
-	st := f.setup()
+// run executes the kernel with the given loop driver from the initial
+// array in st.
+func (f FT) run(pf forRange, st *ftState) FTResult {
 	// Forward transform once; keep the frequency-space copy.
 	st.fft3(pf, -1)
 	xbar := make([]complex128, len(st.x))
-	copy(xbar, st.x)
+	pf(len(xbar), func(lo, hi int) { copy(xbar[lo:hi], st.x[lo:hi]) })
 	res := FTResult{}
 	scale := complex(1/float64(st.volume), 0)
 	for it := 1; it <= f.Iterations; it++ {
@@ -224,15 +235,26 @@ func (f FT) run(pf forRange) FTResult {
 
 // Sequential runs the kernel without parallel constructs.
 func (f FT) Sequential() FTResult {
-	return f.run(func(n int, body func(lo, hi int)) { body(0, n) })
+	f = f.defaults()
+	return f.run(func(n int, body func(lo, hi int)) { body(0, n) }, f.setup())
 }
 
-// Parallel runs the kernel with pencil-parallel FFT passes. Identical
-// results to Sequential (each pencil is transformed independently).
+// Parallel runs the kernel with the initial fill and pencil-parallel FFT
+// passes on the pool. Identical results to Sequential: the fill gives each
+// element setup's draws (parallelFill), and each pencil is transformed
+// independently.
 func (f FT) Parallel(p Pool, opts ...hybridloop.ForOption) FTResult {
+	f = f.defaults()
+	st := &ftState{f: f, volume: f.N1 * f.N2 * f.N3}
+	st.x = make([]complex128, st.volume)
+	parallelFill(p, opts, f.Seed, st.volume, 2, func(g *rng.Xoshiro256, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			st.x[i] = complex(g.Float64()-0.5, g.Float64()-0.5)
+		}
+	})
 	return f.run(func(n int, body func(lo, hi int)) {
 		p.For(0, n, body, opts...)
-	})
+	}, st)
 }
 
 // RoundTripError transforms a copy of the input forward and back and

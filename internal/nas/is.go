@@ -29,6 +29,11 @@ import (
 // xoshiro generator rather than NPB's sum-of-four-randlc recipe — the
 // distribution (uniform over the key range) and the ranking algorithm are
 // what the scheduling study exercises, not the exact key values.
+//
+// Parallel also makes the keys on the pool, in blocks of genBlock keys:
+// each block's generator is genKeys's, jumped ahead to the block's first
+// draw (parallelFill; NPB's find_my_seed does the same for its LCG), so
+// the keys are genKeys's bit for bit.
 type IS struct {
 	N          int // number of keys (NPB class S: 2^16, W: 2^20, A: 2^23)
 	MaxKey     int // key range (NPB: 2^11 .. 2^19 depending on class)
@@ -115,11 +120,16 @@ func (s IS) Sequential() ISResult {
 	return ISResult{Keys: keys, Ranks: ranks}
 }
 
-// Parallel runs all rounds on the pool; the result is bit-identical to
-// Sequential (see the type comment).
+// Parallel generates the keys and runs all rounds on the pool; the result
+// is bit-identical to Sequential (see the type comment).
 func (s IS) Parallel(p Pool, opts ...hybridloop.ForOption) ISResult {
 	s = s.defaults()
-	keys := s.genKeys()
+	keys := make([]int32, s.N)
+	parallelFill(p, opts, s.Seed, s.N, 1, func(g *rng.Xoshiro256, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			keys[i] = int32(g.Intn(s.MaxKey)) // one draw a key, as in genKeys
+		}
+	})
 	r := s.newRanker(p, opts)
 	for round := 0; round < s.Iterations; round++ {
 		s.perturb(keys, round)

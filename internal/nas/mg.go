@@ -2,6 +2,7 @@ package nas
 
 import (
 	"fmt"
+	"math"
 
 	"hybridloop"
 	"hybridloop/internal/rng"
@@ -283,34 +284,41 @@ func (st *mgState) vcycle(pf forRange) {
 	smooth(pf, st.u[top], st.r[top], st.tmp[top])
 }
 
-// run executes the kernel with the given loop driver.
-func (m MG) run(pf forRange) MGResult {
+// run executes the kernel with the given loop driver, taking the residual
+// norms with norm.
+func (m MG) run(pf forRange, norm func(v []float64) float64) MGResult {
 	m = m.defaults()
 	st := m.setup()
 	top := len(st.levels) - 1
 	// Initial residual: u = 0, so r = v.
 	copy(st.r[top].v, st.v.v)
-	res := MGResult{InitialResidual: norm2(st.r[top].v)}
+	res := MGResult{InitialResidual: norm(st.r[top].v)}
 	for c := 0; c < m.Cycles; c++ {
 		st.vcycle(pf)
 		// Report the true fine-grid residual after the cycle's final
 		// smoothing step.
 		residual(pf, st.u[top], st.v, st.r[top], st.tmp[top])
-		res.Residuals = append(res.Residuals, norm2(st.r[top].v))
+		res.Residuals = append(res.Residuals, norm(st.r[top].v))
 	}
 	return res
 }
 
 // Sequential runs the kernel without parallel constructs.
 func (m MG) Sequential() MGResult {
-	return m.run(func(n int, body func(lo, hi int)) { body(0, n) })
+	return m.run(func(n int, body func(lo, hi int)) { body(0, n) }, norm2)
 }
 
 // Parallel runs the kernel with every grid sweep as a parallel loop over
-// the outer dimension. Identical results to Sequential (all sweeps are
-// elementwise-independent).
+// the outer dimension and the residual norms as parallelSum's block
+// reduction. Identical results to Sequential (all sweeps are
+// elementwise-independent, and parallelSum folds norm2's blocks in
+// norm2's order).
 func (m MG) Parallel(p Pool, opts ...hybridloop.ForOption) MGResult {
+	m = m.defaults()
+	partials := make([]float64, numBlocks(1<<(3*m.Log2N))) // every norm's scratch
 	return m.run(func(n int, body func(lo, hi int)) {
 		p.For(0, n, body, opts...)
+	}, func(v []float64) float64 {
+		return math.Sqrt(parallelSum(p, partials, len(v), func(i int) float64 { return v[i] * v[i] }, opts...))
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"hybridloop"
+	"hybridloop/internal/rng"
 )
 
 // Pool is the scheduler interface the kernels need; satisfied by
@@ -72,6 +73,39 @@ func parallelSum(p Pool, partials []float64, n int, f func(i int) float64, opts 
 	return total
 }
 
+// genBlock is the number of draws from an input's generator that one block
+// of a parallel fill takes: 2^15, so the benchmark's 2^21 IS keys are 64
+// blocks and its 64x64x32 FT array, two draws an element, 8.
+const genBlock = 1 << 15
+
+// genJump advances a generator by one block of draws.
+var genJump = rng.NewJumpPoly(genBlock)
+
+// parallelFill fills items [0, n) on the pool with the values that one
+// generator seeded with seed gives them in index order, perItem draws an
+// item (perItem divides genBlock): fill(g, lo, hi) makes items [lo, hi)
+// from g, drawing perItem values for each. The items are cut into blocks
+// of genBlock draws, and block b starts from the seed's stream jumped
+// ahead b·genBlock draws, the starts chained with one jump polynomial
+// before the loop — the analogue of NPB's find_my_seed, which skips its
+// LCG to each thread's first draw.
+func parallelFill(p Pool, opts []hybridloop.ForOption, seed uint64, n, perItem int, fill func(g *rng.Xoshiro256, lo, hi int)) {
+	per := genBlock / perItem
+	gens := make([]rng.Xoshiro256, (n+per-1)/per)
+	g := *rng.NewXoshiro256(seed)
+	for b := range gens {
+		if b > 0 {
+			g.Advance(genJump)
+		}
+		gens[b] = g
+	}
+	p.For(0, len(gens), func(blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			fill(&gens[b], b*per, min((b+1)*per, n))
+		}
+	}, opts...)
+}
+
 // seqSum is the sequential reference fold over the same blocks.
 func seqSum(n int, f func(i int) float64) float64 {
 	nb := numBlocks(n)
@@ -88,7 +122,7 @@ func seqSum(n int, f func(i int) float64) float64 {
 }
 
 // norm2 returns the Euclidean norm of v computed with the deterministic
-// block reduction (sequentially; used by verifications).
+// block reduction, sequentially (MG's twin takes its residual norms so).
 func norm2(v []float64) float64 {
 	return math.Sqrt(seqSum(len(v), func(i int) float64 { return v[i] * v[i] }))
 }

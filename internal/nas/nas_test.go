@@ -1,6 +1,7 @@
 package nas
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -86,17 +87,18 @@ func TestEPBlockDecompositionIndependent(t *testing.T) {
 
 // --- IS ---
 
+// TestISParallelMatchesSequential holds the keys the pool generates, and
+// their ranks, to the twin's on pools of 1, 2 and 4 workers; N is not a
+// multiple of the generation block, so the last block is short.
 func TestISParallelMatchesSequential(t *testing.T) {
-	p := testPool(t)
-	is := IS{N: 40000, MaxKey: 512, Iterations: 3}
+	is := IS{N: 3*genBlock + 1234, MaxKey: 512, Iterations: 3}
 	want := is.Sequential()
-	for _, s := range testStrategies {
-		got := is.Parallel(p, hybridloop.WithStrategy(s))
-		for i := range want.Ranks {
-			if got.Ranks[i] != want.Ranks[i] {
-				t.Fatalf("%v: rank[%d] = %d, want %d", s, i, got.Ranks[i], want.Ranks[i])
-			}
+	for _, workers := range []int{1, 2, 4} {
+		p := hybridloop.NewPool(workers, hybridloop.WithSeed(42))
+		for _, s := range testStrategies {
+			equalRanks(t, fmt.Sprintf("W=%d %v", workers, s), is.Parallel(p, hybridloop.WithStrategy(s)), want)
 		}
+		p.Close()
 	}
 }
 
@@ -264,15 +266,18 @@ func TestFTRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFTParallelMatchesSequentialExactly runs a volume smaller than one
+// generation block (2048 elements) and one of four blocks.
 func TestFTParallelMatchesSequentialExactly(t *testing.T) {
 	p := testPool(t)
-	f := FT{N1: 16, N2: 16, N3: 8, Iterations: 3}
-	want := f.Sequential()
-	for _, s := range testStrategies {
-		got := f.Parallel(p, hybridloop.WithStrategy(s))
-		for i := range want.Checksums {
-			if got.Checksums[i] != want.Checksums[i] {
-				t.Fatalf("%v: checksum %d = %v, want %v", s, i, got.Checksums[i], want.Checksums[i])
+	for _, f := range []FT{{N1: 16, N2: 16, N3: 8, Iterations: 3}, {N1: 64, N2: 32, N3: 32, Iterations: 1}} {
+		want := f.Sequential()
+		for _, s := range testStrategies {
+			got := f.Parallel(p, hybridloop.WithStrategy(s))
+			for i := range want.Checksums {
+				if got.Checksums[i] != want.Checksums[i] {
+					t.Fatalf("%dx%dx%d %v: checksum %d = %v, want %v", f.N1, f.N2, f.N3, s, i, got.Checksums[i], want.Checksums[i])
+				}
 			}
 		}
 	}

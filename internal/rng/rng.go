@@ -9,7 +9,10 @@
 //   - SplitMix64: a tiny generator mainly used to seed others and to derive
 //     independent streams from a single master seed.
 //   - Xoshiro256: xoshiro256** — the general-purpose generator for victim
-//     selection and workload generation.
+//     selection and workload generation. Jump and Advance skip it ahead by
+//     any number of steps in O(log n) (jump.go), so a parallel fill can
+//     start each block of one stream at its first draw, as NPB's
+//     find_my_seed does with its LCG.
 //   - NPB: the linear congruential generator specified by the NAS Parallel
 //     Benchmarks (a = 5^13, modulus 2^46), needed by the EP kernel, which
 //     defines its output in terms of this exact sequence.
