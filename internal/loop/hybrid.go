@@ -80,11 +80,11 @@ func (h *hybridLoop) Live() bool {
 // DoHybridLoop with its own worker ID. With no claimable partition left
 // it tries to CAS the upper half off another worker's published
 // in-partition range before reverting to ordinary randomized work
-// stealing. The trace.StealEntry event is emitted only once a partition
-// is actually claimed or a half actually stolen, so a thief that loses
-// every race logs no entry — the trace and the scheduler's
-// Stats.LoopEntries counter (which counts TrySteal returning true)
-// always agree.
+// stealing. The entry is recorded — the trace.StealEntry event and
+// Worker.NoteLoopEntry, which feeds Stats.LoopEntries — only once a
+// partition is actually claimed or a half actually stolen, and before the
+// thief runs it: a thief that loses every race records nothing, and the
+// two views agree as soon as the loop's join returns.
 func (h *hybridLoop) TrySteal(w *sched.Worker) bool {
 	if h.rs.opts.Cancel.Cancelled() {
 		// A cancelled loop is drained, not entered: claim whatever is
@@ -146,11 +146,15 @@ func (h *hybridLoop) doHybridLoop(w *sched.Worker, viaSteal bool) bool {
 		if ok && !any {
 			// First successful claim: this worker has definitely entered
 			// the loop. Record the steal entry now (not before the walk,
-			// where a thief losing every race would log a phantom entry),
+			// where a thief losing every race would log a phantom entry,
+			// nor after it, when its Done may have released the join),
 			// and chain the wakeup — partitions left unclaimed are surplus
 			// another parked worker could be claiming concurrently.
-			if viaSteal && h.rs.opts.Trace != nil {
-				h.rs.opts.Trace.Add(w.ID(), trace.StealEntry, int64(w.ID()), 0)
+			if viaSteal {
+				w.NoteLoopEntry()
+				if h.rs.opts.Trace != nil {
+					h.rs.opts.Trace.Add(w.ID(), trace.StealEntry, int64(w.ID()), 0)
+				}
 			}
 			if h.ps.Unclaimed() > 0 {
 				w.Pool().Notify()

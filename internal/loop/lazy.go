@@ -149,6 +149,7 @@ func (rs *rangeSet) runOwned(w *sched.Worker, lo, hi int) {
 		rs.stride.Store(stride)
 	}
 	window := int(stride) * rs.chunk
+	polls := 0 // this entry's ServeInjected count
 	for {
 		wlo, whi, ok := s.TakeGuided(rs.chunk, window)
 		if !ok {
@@ -180,11 +181,11 @@ func (rs *rangeSet) runOwned(w *sched.Worker, lo, hi int) {
 		// Cross-loop latency fairness: a newly submitted loop's root sits
 		// in the injection queue, and with every worker mid-partition
 		// nobody would return to runOne for a long time — so owners
-		// service one pending submission per poll window. The detour
-		// leaves this loop's published range stealable, so its load
-		// balancing continues underneath the helper.
+		// serve pending submissions between windows, by weighted round
+		// robin with this loop. The detour leaves this loop's published
+		// range stealable, so its load balancing continues underneath.
 		if pool.InjectPending() {
-			pool.HelpOneInjected(w, rs.opts.Priority)
+			polls = pool.ServeInjected(w, rs.opts.Priority, polls)
 		}
 	}
 }
@@ -210,7 +211,7 @@ func (rs *rangeSet) runEager(w *sched.Worker, lo, hi int) {
 // random rotation first-probes every victim with equal probability). On
 // success the thief executes the stolen piece as a lazy owner (protected,
 // so a panicking body surfaces at the loop's Wait rather than killing the
-// worker) and returns true.
+// worker) and returns true, having counted the entry before running it.
 func (rs *rangeSet) trySteal(w *sched.Worker) bool {
 	if len(rs.slots) == 0 || rs.active.Load() == 0 || rs.opts.Cancel.Cancelled() {
 		// A cancelled loop feeds no thieves: whatever its slots still
@@ -255,6 +256,7 @@ func (rs *rangeSet) sweepSteal(w *sched.Worker, victims []*sched.Worker, remote 
 			continue
 		}
 		w.NoteRangeSteal(remote)
+		w.NoteLoopEntry()
 		if rs.opts.Trace != nil {
 			kind := trace.RangeSplit
 			if remote {

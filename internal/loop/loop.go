@@ -440,6 +440,7 @@ func sharingFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 		pool := cw.Pool()
 		stride := opts.pollStride
 		countdown := stride
+		polls := 0 // this worker's ServeInjected count
 		if opts.Cancel.Cancelled() {
 			// Cancelled before this worker's first grab: poison the shared
 			// counter so teammates between polls observe an exhausted loop
@@ -478,10 +479,10 @@ func sharingFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 				return
 			}
 			// Cross-loop latency fairness, as in rangeSet.runOwned: a team
-			// worker grinding a long shared counter services one pending
-			// submission per poll window.
+			// worker grinding a long shared counter serves pending
+			// submissions between windows.
 			if pool.InjectPending() {
-				pool.HelpOneInjected(cw, opts.Priority)
+				polls = pool.ServeInjected(cw, opts.Priority, polls)
 			}
 		}
 	}
@@ -502,6 +503,7 @@ func guidedFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	var next atomic.Int64
 	next.Store(int64(begin))
 	grab := func(cw *sched.Worker) {
+		polls := 0 // this worker's ServeInjected count
 		for {
 			if opts.Cancel.Cancelled() {
 				if old := next.Swap(int64(end)); int(old) < end && opts.Trace != nil {
@@ -528,7 +530,7 @@ func guidedFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 			}
 			runChunk(cw, body, opts, lo, hi)
 			if cw.Pool().InjectPending() {
-				cw.Pool().HelpOneInjected(cw, opts.Priority)
+				polls = cw.Pool().ServeInjected(cw, opts.Priority, polls)
 			}
 		}
 	}

@@ -67,9 +67,18 @@
 // wait in the run queue for the worker to park or be preempted. So the
 // worker yields its P right after the signal, unless the yield would
 // stall a loop whose weight is at least the root's: one it interrupted to
-// run the root (HelpOneInjected), whose published remainder only it can
+// run the root (ServeInjected), whose published remainder only it can
 // release. Among loops, priority decides who holds a P, as it decides
 // whom an idle worker serves. See Pool.RunWeighted.
+//
+// Priority also decides which submitted root runs next. The injection
+// queue keeps each root's loop weight, and every taker pops the heaviest,
+// FIFO among equals. A worker inside a loop serves the queue at the
+// loop's poll points by weighted round robin: roots heavier than the loop
+// run back to back, in proportion to the weight ratio, before the loop's
+// next window; lighter ones wait the inverse ratio of polls. So a request
+// is not queued behind a batch tenant's window, nor its owner stalled
+// behind a batch root it picked up. See Pool.ServeInjected.
 package sched
 
 import (
@@ -200,7 +209,8 @@ func (g *Group) Protect(fn func()) {
 type HybridLoop interface {
 	// TrySteal gives worker w a chance to enter the loop per the
 	// DoHybridLoop steal protocol. It returns true if the worker did work
-	// (claimed and executed at least one partition).
+	// (claimed and executed at least one partition), and then has counted
+	// the entry with Worker.NoteLoopEntry.
 	TrySteal(w *Worker) bool
 	// Live reports whether the loop may still have unclaimed partitions.
 	Live() bool
@@ -270,9 +280,12 @@ type Pool struct {
 	// check-then-act races the old pool-wide 0/1 flag had, where a
 	// MeetDemand (or a parking worker) could erase a signal raised
 	// concurrently by another thief's failed sweep.
-	demand    atomic.Int32
-	injectedN atomic.Int64 // pending external submissions (for HelpOneInjected)
-	timeAcct  atomic.Bool  // busy/idle time accounting enabled
+	demand atomic.Int32
+	// injectTop mirrors inject's heaviest pending weight, 0 when nothing
+	// is queued: written under injectMu whenever it changes, read without
+	// it by every pending check (see ServeInjected).
+	injectTop atomic.Int32
+	timeAcct  atomic.Bool // busy/idle time accounting enabled
 	// quitting is the shutdown edge: set by Close before its wake pass. A
 	// worker checks it after winning its park transition (sequentially
 	// consistent with Close's store, so a worker that misses the wake pass
@@ -658,7 +671,7 @@ func (p *Pool) RunWeighted(root func(w *Worker), weight int) {
 	if w := p.borrow(); w != nil {
 		p.runLent(w, rc)
 	} else {
-		p.submit(rc.task)
+		p.submit(rc.task, rc.weight)
 		<-rc.done
 	}
 	p.runs.Add(-1)
@@ -768,18 +781,19 @@ func (p *Pool) handBack(w *Worker) {
 	w.dq.Clean()
 	p.nparked.Add(1)
 	w.state.CompareAndSwap(wLent, wParked)
-	if w.pinnedN.Load() != 0 || !w.dq.Empty() || p.injectedN.Load() != 0 || p.quitting.Load() {
+	if w.pinnedN.Load() != 0 || !w.dq.Empty() || p.injectTop.Load() != 0 || p.quitting.Load() {
 		w.wake()
 	}
 }
 
-// submit places a task on the external injection queue and wakes a worker.
+// submit places a root of the given loop weight on the external injection
+// queue and wakes a worker.
 // The closed check happens under the same lock Close takes, so a task is
 // enqueued iff it precedes the close — in which case the workers' final
 // drain executes it (and a submission that instead wins a direct handoff
 // below is guaranteed to run by the reserved worker, even across the
 // shutdown edge — see mainLoop's handoff handling).
-func (p *Pool) submit(t Task) {
+func (p *Pool) submit(t Task, weight int32) {
 	// Direct-handoff fast path: on an idle pool, reserve a parked worker
 	// with the same wParked→wNotified CAS a wake uses, hand it the task
 	// through its handoff slot, and deliver the token. The task bypasses
@@ -792,7 +806,7 @@ func (p *Pool) submit(t Task) {
 	// cannot retract past wParked without consuming the token (see
 	// mainLoop). Skipped when injected tasks are already queued so a
 	// burst drains roughly in order.
-	if p.injectedN.Load() == 0 && p.nparked.Load() > 0 {
+	if p.injectTop.Load() == 0 && p.nparked.Load() > 0 {
 		// Fixed-order scan, not the round-robin cursor: on an idle pool
 		// every submission reuses the same (cache-warm) worker, and the
 		// shared cursor RMW stays off the latency path. Fairness is a
@@ -812,16 +826,16 @@ func (p *Pool) submit(t Task) {
 		p.injectMu.Unlock()
 		panic("sched: Run on closed pool")
 	}
-	p.inject.push(t)
-	p.injectedN.Add(1)
+	p.inject.push(t, weight)
+	p.publishTop()
 	p.injectMu.Unlock()
 	p.notify()
 }
 
 // InjectPending reports whether external submissions are queued. One
 // uncontended atomic load; loop strategies poll it at chunk boundaries to
-// decide whether to detour into HelpOneInjected.
-func (p *Pool) InjectPending() bool { return p.injectedN.Load() != 0 }
+// decide whether to call ServeInjected.
+func (p *Pool) InjectPending() bool { return p.injectTop.Load() != 0 }
 
 // maxInjectHelpDepth bounds the recursion of loops helping loops: a
 // worker that picks up an injected loop root mid-chunk may, inside that
@@ -830,29 +844,50 @@ func (p *Pool) InjectPending() bool { return p.injectedN.Load() != 0 }
 // wait for a worker at lower depth (or a parked one).
 const maxInjectHelpDepth = 8
 
-// HelpOneInjected lets a worker that is mid-loop service the external
-// submission queue: it pops one injected task (typically a newly
-// submitted loop's root) and runs it inline on w, then returns to the
-// caller's loop. Loop strategies call it at chunk boundaries so a freshly
-// submitted small loop starts within about one chunk even when every
-// worker is grinding a giant loop — without it, a new loop's root waits
-// until some worker drains its entire partition and returns to runOne,
-// which is the cross-loop starvation the multi-tenant serving mode must
-// avoid. The caller's own published range descriptor remains stealable
-// during the detour, so no work is lost and the interrupted loop keeps
-// load balancing underneath the helper.
+// ServeInjected is the poll point a loop of the given weight (its
+// Options.Priority) offers the external submission queue between two of
+// its windows. A worker deep in a loop's partition does not return to
+// runOne until the partition drains, so without it a newly submitted
+// loop's root would wait that long. Pending roots share the worker with
+// the loop by weighted round robin. With h the loop's weight and r the
+// heaviest pending root's:
 //
-// weight is the interrupted loop's (its Options.Priority): the worker
-// holds it for the detour, so it yields its P to the detour root's caller
-// only if that root's loop is heavier (see RunWeighted).
+//   - r > h: w runs up to ⌊r/h⌋ roots heavier than h back to back,
+//     heaviest first, before the loop's next window;
+//   - r ≤ h: w runs that root only on every ⌈h/r⌉-th such poll, so with
+//     equal weights it runs one per poll, and a lighter root still starts
+//     within ⌈h/r⌉ polls of an endless heavier loop.
 //
-// Returns false when nothing is pending or the worker is already at the
-// help-depth bound.
-func (p *Pool) HelpOneInjected(w *Worker, weight int) bool {
-	if w.injectDepth >= maxInjectHelpDepth || p.injectedN.Load() == 0 {
-		return false
+// polls is that count, kept in the loop's own frame: pass 0 at the loop's
+// start and then what the previous call returned. Each root runs inline on
+// w. The interrupted loop's published range stays stealable meanwhile, so
+// no work is lost and the loop keeps load balancing underneath. w holds
+// the loop's weight for the detour, so it yields its P to a detour root's
+// caller only if that root's loop is heavier (see RunWeighted). Nothing
+// runs when w is already maxInjectHelpDepth detours deep.
+func (p *Pool) ServeInjected(w *Worker, weight, polls int) int {
+	r := p.injectTop.Load()
+	if r == 0 || w.injectDepth >= maxInjectHelpDepth {
+		return polls
 	}
-	t, ok, more := p.takeInjected()
+	h := clampWeight(weight)
+	if r > h {
+		for n := r / h; n > 0 && p.serveOne(w, h, h+1); n-- {
+		}
+		return polls
+	}
+	if polls++; polls < int((h+r-1)/r) {
+		return polls
+	}
+	p.serveOne(w, h, 1)
+	return 0
+}
+
+// serveOne runs the heaviest pending root, if its weight is at least min,
+// inline on w, which holds the interrupted loop's weight for the detour.
+// It reports whether a root ran.
+func (p *Pool) serveOne(w *Worker, weight, min int32) bool {
+	t, ok, more := p.takeInjected(min)
 	if !ok {
 		return false
 	}
@@ -860,63 +895,110 @@ func (p *Pool) HelpOneInjected(w *Worker, weight int) bool {
 		p.notify()
 	}
 	held := w.held
-	w.held = max(held, clampWeight(weight))
+	w.held = max(held, weight)
 	w.injectDepth++
 	defer func() { w.injectDepth--; w.held = held }()
 	w.run(t)
 	return true
 }
 
-// takeInjected removes one externally submitted task, FIFO. more reports
-// whether further injected tasks remain (for wake chaining).
-func (p *Pool) takeInjected() (t Task, ok, more bool) {
+// takeInjected removes the oldest of the heaviest externally submitted
+// roots, if its weight is at least min (1 takes any). more reports whether
+// further roots remain (for wake chaining).
+func (p *Pool) takeInjected(min int32) (t Task, ok, more bool) {
 	// Empty-queue fast path: one atomic load instead of a mutex round
 	// trip. A submission concurrent with the load is covered by the usual
-	// handshake — the producer increments injectedN (under the lock)
-	// before its notify, so a sweeper that misses the count here is woken
-	// into a sweep ordered after the publication.
-	if p.injectedN.Load() == 0 {
+	// handshake — the producer publishes injectTop (under the lock) before
+	// its notify, so a sweeper that misses it here is woken into a sweep
+	// ordered after the publication.
+	if p.injectTop.Load() < min {
 		return nil, false, false
 	}
 	p.injectMu.Lock()
-	t, ok = p.inject.pop()
-	if ok {
-		p.injectedN.Add(-1)
-	}
+	t, ok = p.inject.pop(min)
+	p.publishTop()
 	more = p.inject.len() > 0
 	p.injectMu.Unlock()
 	return t, ok, more
 }
 
-// taskRing is a circular FIFO of injected tasks. Popped slots are nil'ed
-// so consumed tasks do not linger in the buffer (the previous
-// slice-reslicing queue kept every popped task reachable through the
-// shared backing array). It grows by doubling when full; capacity is
-// always a power of two.
+// publishTop mirrors the ring's heaviest weight into injectTop, storing
+// only on a change. Called with injectMu held.
+func (p *Pool) publishTop() {
+	if top := p.inject.top; top != p.injectTop.Load() {
+		p.injectTop.Store(top)
+	}
+}
+
+// taskRing is the queue of injected roots: a circular buffer in arrival
+// order, each root beside its loop's weight. pop takes the oldest of the
+// heaviest. top and ntop, the heaviest queued weight and how many roots
+// carry it, make that the plain FIFO pop whenever the oldest root is among
+// the heaviest, which is always the case when every root has one weight.
+// Popped slots are zeroed so consumed tasks do not linger in the buffer.
+// It grows by doubling when full; capacity is always a power of two.
 type taskRing struct {
-	buf  []Task
-	head int // index of the oldest task
-	n    int // number of queued tasks
+	buf  []queuedRoot
+	head int   // index of the oldest root
+	n    int   // number of queued roots
+	top  int32 // heaviest queued weight, 0 when empty
+	ntop int   // queued roots of weight top
+}
+
+// queuedRoot is one injected root beside its loop's weight.
+type queuedRoot struct {
+	t      Task
+	weight int32
 }
 
 func (r *taskRing) len() int { return r.n }
 
-func (r *taskRing) push(t Task) {
+func (r *taskRing) push(t Task, weight int32) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = t
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = queuedRoot{t, weight}
 	r.n++
+	r.count(weight)
 }
 
-func (r *taskRing) pop() (Task, bool) {
-	if r.n == 0 {
+// count enters one queued root of the given weight into top and ntop.
+func (r *taskRing) count(weight int32) {
+	switch {
+	case weight > r.top:
+		r.top, r.ntop = weight, 1
+	case weight == r.top:
+		r.ntop++
+	}
+}
+
+// pop removes the oldest of the heaviest queued roots, if their weight is
+// at least min. The lighter roots queued before it each move up one slot,
+// so every weight stays FIFO.
+func (r *taskRing) pop(min int32) (Task, bool) {
+	if r.n == 0 || r.top < min {
 		return nil, false
 	}
-	t := r.buf[r.head]
-	r.buf[r.head] = nil // release the slot: no retention of popped tasks
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	mask := len(r.buf) - 1
+	k := 0
+	for r.buf[(r.head+k)&mask].weight != r.top {
+		k++
+	}
+	t := r.buf[(r.head+k)&mask].t
+	for ; k > 0; k-- {
+		r.buf[(r.head+k)&mask] = r.buf[(r.head+k-1)&mask]
+	}
+	r.buf[r.head] = queuedRoot{} // release the slot: no retention of popped tasks
+	r.head = (r.head + 1) & mask
 	r.n--
+	if r.ntop--; r.ntop == 0 {
+		// The last of the heaviest left. With a single weight the ring is
+		// now empty; otherwise rescan what remains.
+		r.top = 0
+		for i := 0; i < r.n; i++ {
+			r.count(r.buf[(r.head+i)&mask].weight)
+		}
+	}
 	return t, true
 }
 
@@ -925,7 +1007,7 @@ func (r *taskRing) grow() {
 	if cap == 0 {
 		cap = 16
 	}
-	buf := make([]Task, cap)
+	buf := make([]queuedRoot, cap)
 	for i := 0; i < r.n; i++ {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
@@ -1255,14 +1337,16 @@ type Worker struct {
 	id     int
 	socket int32 // placement socket housing this worker (0 when flat)
 	// injectDepth is the worker's current nesting depth of inline
-	// HelpOneInjected detours. Private to the identity's holder.
+	// ServeInjected detours: roots it runs at a loop's poll point, each
+	// on top of the loop it interrupted. Private to the identity's holder.
 	injectDepth int32
 	// held is the highest weight of the loops the identity's holder would
-	// stall by giving up its P: those it interrupted for a HelpOneInjected
-	// detour. 0 at the top of mainLoop. A
-	// submitted root finished on this worker yields the P to its caller
-	// only when its own weight is higher (see RunWeighted). Private to the
-	// identity's holder.
+	// stall by giving up its P: those it interrupted for a ServeInjected
+	// detour. 0 at the top of mainLoop. A submitted root finished on this
+	// worker yields the P to its caller only when its own weight is higher
+	// (see RunWeighted), which is how a root served ahead of a lighter
+	// loop by the weighted round robin hands its caller the P at once.
+	// Private to the identity's holder.
 	held int32
 	pool *Pool
 	dq   *deque.Deque
@@ -1359,6 +1443,15 @@ type Worker struct {
 // the steal-half protocol; the counter lives here so Stats aggregates it
 // with the other scheduling counters. remote marks a cross-socket
 // transfer (thief and victim on different placement sockets).
+// NoteLoopEntry records w's entry into a loop through the steal protocol
+// (Stats.LoopEntries). The loop strategies call it at the entry itself —
+// a thief's first successful claim or steal-half, where they trace
+// StealEntry — so the count is in place before the thief's work can
+// release the loop's join. The loop's served count, which only orders
+// probes, is added by the probe after the entry: a thief's write to the
+// loop's descriptor at the claim would delay the owner's next claims.
+func (w *Worker) NoteLoopEntry() { w.loopEntries.Add(1) }
+
 func (w *Worker) NoteRangeSteal(remote bool) {
 	w.rangeSteals.Add(1)
 	if remote {
@@ -1666,7 +1759,7 @@ func (w *Worker) findAndRunOne() bool {
 	// P−1 empty deques — the dominant term of the wake-to-first-task
 	// latency. Registered loop work still outranks it (above), so a
 	// worker helping a live loop is not diverted.
-	if t, ok, more := w.pool.takeInjected(); ok {
+	if t, ok, more := w.pool.takeInjected(1); ok {
 		if more {
 			// Chain: more external submissions are queued behind this one.
 			w.pool.notify()
@@ -1745,7 +1838,6 @@ func (w *Worker) probeLoops(entries []*LoopEntry) bool {
 		e := entries[0]
 		if e.l.Live() && e.l.TrySteal(w) {
 			e.served.Add(1)
-			w.loopEntries.Add(1)
 			return true
 		}
 		return false
@@ -1760,7 +1852,6 @@ func (w *Worker) probeLoops(entries []*LoopEntry) bool {
 			e := entries[i]
 			if e.l.TrySteal(w) {
 				e.served.Add(1)
-				w.loopEntries.Add(1)
 				return true
 			}
 		}
@@ -1770,7 +1861,6 @@ func (w *Worker) probeLoops(entries []*LoopEntry) bool {
 		for _, e := range entries {
 			if e.l.Live() && e.l.TrySteal(w) {
 				e.served.Add(1)
-				w.loopEntries.Add(1)
 				return true
 			}
 		}

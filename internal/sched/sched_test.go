@@ -180,6 +180,7 @@ func (f *fakeLoop) TrySteal(w *Worker) bool {
 	}
 	f.live.Store(false)
 	f.entries.Add(1)
+	w.NoteLoopEntry()
 	return true
 }
 
