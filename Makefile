@@ -2,7 +2,7 @@ GO ?= go
 
 SCHED_PKGS := ./internal/sched/... ./internal/deque/... ./internal/loop/...
 
-STRESS_PATTERN := TestBorrow|TestJoinYield|TestServe|TestTaskRing|TestTraceStealEntriesMatchLoopEntries|TestSumSharedOptions|TestLoopMetricsConcurrentCallers|TestFrameRecycling|TestHeldFrame|TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDemandQuiesces|TestMeetDemand|TestParkingRetains|TestParkUnpark|TestForErr|TestForEachErr|TestForCtx|TestPanicPropagation|TestStealHalf|TestStealBack|TestRangeSlotAbandon|TestTakeGuided|TestNested|TestGate|TestConcurrentIndependentLoops|TestCrossLoopCancelStress|TestTryForBackpressure|TestForDegradesInline|TestMetricsConcurrentStress|TestStealWakeChaining|TestTryStealPrefersLocal|TestHierarchicalRangeSteal
+STRESS_PATTERN := TestBorrow|TestJoinYield|TestJoinSpin|TestServe|TestTaskRing|TestTraceStealEntriesMatchLoopEntries|TestSumSharedOptions|TestLoopMetricsConcurrentCallers|TestFrameRecycling|TestHeldFrame|TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDemandQuiesces|TestMeetDemand|TestParkingRetains|TestParkUnpark|TestForErr|TestForEachErr|TestForCtx|TestPanicPropagation|TestStealHalf|TestStealBack|TestRangeSlotAbandon|TestTakeGuided|TestNested|TestGate|TestConcurrentIndependentLoops|TestCrossLoopCancelStress|TestTryForBackpressure|TestForDegradesInline|TestMetricsConcurrentStress|TestStealWakeChaining|TestTryStealPrefersLocal|TestHierarchicalRangeSteal
 
 # Packages carrying seeded golden datasets (testdata/golden_*.json).
 GOLDEN_PKGS := ./internal/sim/ ./internal/nas/

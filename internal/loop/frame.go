@@ -23,7 +23,8 @@ import (
 //     except idle workers that reached the descriptor through a registry
 //     probe. UnregisterLoop reports whether one may still hold it (h.held);
 //     such a frame goes back to its pool's slot, and the next acquire asks
-//     the pool again (LoopHeld) before using it;
+//     the pool again (LoopHeld, which on a solo pool waits up to the
+//     scheduler's spin bound for the probe to leave) before using it;
 //   - no body panicked: Run then panics past release.
 //
 // Any other frame is left to the collector. The frame's own token is not
@@ -62,7 +63,10 @@ var framePool = sync.Pool{New: func() any {
 }}
 
 // acquireFrame takes pool's cached frame, unless a probe still holds it,
-// or one from framePool.
+// or one from framePool. A joiner that spins returns while the thief that
+// ran its loop's last piece is still leaving its probe, so the cached
+// frame is often flagged held; LoopHeld then waits out the probe's last
+// few instructions rather than building a fresh frame.
 //
 //sched:noalloc
 func acquireFrame(pool *sched.Pool) *frame {

@@ -3,6 +3,7 @@ package loop
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,5 +275,104 @@ func TestHeldFrameWatchedTokenIsReplaced(t *testing.T) {
 	For(pool, 0, 4096, func(lo, hi int) { ran.Add(int64(hi - lo)) }, opts)
 	if got := ran.Load(); got != 4096 {
 		t.Fatalf("the next loop on the frame ran %d of 4096 iterations", got)
+	}
+}
+
+// blipLoop is a registry entry that, once armed, catches the first probe
+// of a worker other than owner and holds it until the test lets go and
+// for hold after that: a probe that leaves a moment after its loop's
+// owner moved on. When the other worker ran the chunk at 0, the probe
+// caught is the caller's own join, which the test cannot let go before
+// its loop returns; so a hold also ends after 100 ms, and that round's
+// frame is simply not held.
+type blipLoop struct {
+	sched.LoopEntry
+	owner   int
+	hold    time.Duration
+	armed   atomic.Bool
+	entered atomic.Bool
+	letGo   atomic.Bool
+	left    atomic.Bool
+}
+
+func (b *blipLoop) Live() bool { return b.armed.Load() }
+
+func (b *blipLoop) TrySteal(w *sched.Worker) bool {
+	if w.ID() == b.owner || !b.armed.CompareAndSwap(true, false) {
+		return false
+	}
+	b.entered.Store(true)
+	for start := time.Now(); !b.letGo.Load() && time.Since(start) < 100*time.Millisecond; {
+		runtime.Gosched()
+	}
+	for start := time.Now(); time.Since(start) < b.hold; {
+	}
+	b.left.Store(true)
+	return true
+}
+
+// TestHeldFrameBriefHoldIsReused: a probe that still holds a root loop's
+// frame when the loop returns, and leaves a few microseconds later, must
+// not cost the next loop a fresh frame. This is a thief leaving its probe
+// after running the last piece of a loop whose joiner spun and returned
+// at once. The other worker is caught in a second registered loop while
+// its snapshot lists the root loop, and is let go just before the next
+// loop starts; that loop's acquire finds the frame held and must wait the
+// probe out (LoopHeld) rather than leave the frame to the collector.
+func TestHeldFrameBriefHoldIsReused(t *testing.T) {
+	const rounds = 40
+	pool := sched.NewPool(2, 5)
+	defer pool.Close()
+	opts := Options{Strategy: DynamicStealing, Chunk: 16}
+	nop := func(lo, hi int) {}
+	blip := &blipLoop{owner: -1, hold: 5 * time.Microsecond}
+	pool.RegisterLoopWeighted(blip, 1)
+	defer pool.UnregisterLoop(blip)
+	For(pool, 0, 4096, nop, opts) // fill the slot
+	reused, heldSeen := 0, 0
+	for i := 0; i < rounds; i++ {
+		blip.entered.Store(false)
+		blip.letGo.Store(false)
+		blip.left.Store(false)
+		ForW(pool, 0, 4096, func(w *sched.Worker, lo, hi int) {
+			if lo == 0 {
+				blip.owner = w.ID()
+				blip.armed.Store(true)
+				for deadline := time.Now().Add(5 * time.Second); !blip.entered.Load(); {
+					pool.WakeAll() // a parked worker probes only once woken
+					if time.Now().After(deadline) {
+						t.Error("no probe entered the blip loop")
+						blip.armed.Store(false)
+						return
+					}
+					runtime.Gosched()
+				}
+			}
+		}, opts)
+		f := slotFrame(pool)
+		if f == nil {
+			t.Fatalf("round %d: the loop did not recycle its frame", i)
+		}
+		if f.h.held {
+			heldSeen++
+		}
+		blip.letGo.Store(true)
+		For(pool, 0, 4096, nop, opts)
+		if slotFrame(pool) == f {
+			reused++
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		for !blip.left.Load() {
+			runtime.Gosched()
+		}
+	}
+	t.Logf("held after %d of %d rounds, reused after %d", heldSeen, rounds, reused)
+	if heldSeen < rounds/2 {
+		t.Fatalf("the caught probe held the frame after only %d of %d rounds", heldSeen, rounds)
+	}
+	if reused < rounds*3/4 {
+		t.Fatalf("a frame held for a few microseconds was rebuilt in %d of %d rounds", rounds-reused, rounds)
 	}
 }

@@ -25,9 +25,14 @@
 // wake for a short while: a worker that finds nothing keeps sweeping for
 // parkSpin (20 µs), yielding its P between sweeps, so the next loop of an
 // iterative caller usually needs no wake to recruit it. Only then does a
-// worker park, on a per-worker wake-token channel. Making work
-// visible (Spawn, external submission, loop registration) wakes exactly
-// ONE parked worker, chosen round-robin — never all of them, avoiding the
+// worker park, on a per-worker wake-token channel. A joiner does the same
+// before it parks in Wait, so a join whose last piece a thief finishes
+// within the window costs the joiner no park and the thief's last Done no
+// wake; because the spin yields, it never withholds the P from the
+// goroutine that holds the join's last piece, even with fewer Ps than
+// workers. Making work visible (Spawn, external submission, loop
+// registration) wakes exactly ONE parked worker, chosen round-robin —
+// never all of them, avoiding the
 // thundering herd of a broadcast (cf. Rokos et al., "An Interrupt-Driven
 // Work-Sharing For-Loop Scheduler"). Throughput is preserved by wake
 // chaining: a worker that acquires work and observes surplus behind it —
@@ -1174,11 +1179,23 @@ func (p *Pool) UnregisterLoop(l HybridLoop) (held bool) {
 // snapshot for tens of nanoseconds unless it runs a body, so an owner that
 // finds its descriptor held at UnregisterLoop asks again before reusing it.
 //
+// While no Run is in flight, LoopHeld re-scans for up to parkSpin before
+// it answers true, yielding its P between scans: a joiner that spins
+// returns while the thief that ran the loop's last piece is still inside
+// its probe, in the probe's last few instructions. With Runs in flight it
+// scans once, because there a worker holds its snapshot while it runs
+// another loop's bodies, and waiting would stall every acquire behind it.
+//
 //sched:noalloc
 func (p *Pool) LoopHeld(l HybridLoop) bool {
-	p.loopsMu.Lock()
-	defer p.loopsMu.Unlock()
-	return p.hazarded(nil, l.entry())
+	for start := time.Now(); ; runtime.Gosched() {
+		p.loopsMu.Lock()
+		held := p.hazarded(nil, l.entry())
+		p.loopsMu.Unlock()
+		if !held || p.runs.Load() != 0 || time.Since(start) >= parkSpin {
+			return held
+		}
+	}
 }
 
 // retire keeps old, just replaced by a publication, as the spare snapshot
@@ -1646,8 +1663,12 @@ func (w *Worker) takePinned() (spawned, bool) {
 // If any task in the group panicked, Wait re-panics with a
 // *TaskPanicError carrying the first captured panic.
 //
-// A waiter that finds nothing runnable parks on its own state word, like
-// mainLoop — not on the old Gosched/sleep polling ladder. It registers itself in the group's waiter slot first,
+// A waiter that finds nothing runnable first spins, like an idle worker
+// in mainLoop: while the pool is solo it re-sweeps and re-checks g for up
+// to parkSpin, yielding its P between sweeps (see spin), so a join whose
+// last piece a thief finishes within the window returns without a park
+// and a wake. Only then does it park on its own state word, like
+// mainLoop. It registers itself in the group's waiter slot first,
 // so the Done that finishes the group wakes it directly; and it announces
 // through nparked, so ordinary notify/WakeAll traffic (new spawns,
 // injected roots, the cancel edge) reaches it too — a parked waiter is
@@ -1662,6 +1683,9 @@ func (w *Worker) Wait(g *Group) {
 	for !g.Finished() {
 		if w.runOne() {
 			backoff = 0
+			continue
+		}
+		if w.pool.solo() && w.spin(time.Now(), g) {
 			continue
 		}
 		if !g.waiter.CompareAndSwap(nil, w) {
@@ -1951,33 +1975,40 @@ func (w *Worker) sweepSteal(victims []*Worker, remote bool) (spawned, bool) {
 	return spawned{}, false
 }
 
-// parkSpin bounds how long a worker that found nothing keeps sweeping
-// before it announces a park (see spin). Chosen from a recorded sweep of
-// {0, 5, 20, 50} µs on iter_fine (DESIGN.md, "The caller is a worker"):
-// long enough to span the gap between back-to-back fine-grained loops,
-// short enough that an idle pool stops burning CPU within tens of µs.
+// parkSpin bounds how long an idle worker or a joiner that found nothing
+// keeps sweeping before it announces a park (see spin). Chosen from a
+// recorded sweep of {0, 5, 20, 50} µs on iter_fine (DESIGN.md, "The
+// caller is a worker"): long enough to span the gap between back-to-back
+// fine-grained loops, short enough that an idle pool stops burning CPU
+// within tens of µs.
 const parkSpin = 20 * time.Microsecond
 
-// spin keeps an idle worker reachable without a wake: it re-sweeps until
-// parkSpin has passed since start, calling runtime.Gosched between sweeps
-// so a runnable client goroutine always gets the P first, and returns
-// true as soon as a sweep ran work. The next loop of an iterative caller
-// usually arrives inside the window, so the worker never parks between
-// loops and the loop needs no wake to recruit it.
+// spin keeps a worker that found nothing reachable without a wake: it
+// re-sweeps until parkSpin has passed since start, calling
+// runtime.Gosched between sweeps so a runnable goroutine — a client, or
+// the worker that holds a piece of g — always gets the P first, and
+// returns true as soon as a sweep ran work or g (nil for an idle worker
+// in mainLoop) finished. The next loop of an iterative caller
+// usually arrives inside the window, so an idle worker never parks
+// between loops and the loop needs no wake to recruit it; and a joiner
+// whose last piece a thief is finishing returns without a park, so the
+// thief's last Done wakes nobody.
 //
-// Workers spin only while the pool is solo: with several callers,
+// Workers start a spin only while the pool is solo: with several callers,
 // spinning workers hold Ps that runnable client goroutines need
 // (examples/server sheds 20–30 % fewer requests per second), so requests
-// keep the park and direct-handoff path.
+// keep the park and direct-handoff path. A joiner also stops as soon as
+// the pool is not solo; an idle worker spins out its window, in which it
+// takes a newly submitted root off the queue without a wake.
 //
 //sched:noalloc
-func (w *Worker) spin(start time.Time) bool {
+func (w *Worker) spin(start time.Time, g *Group) bool {
 	for {
 		runtime.Gosched()
-		if w.runOne() {
+		if g != nil && g.Finished() || w.runOne() {
 			return true
 		}
-		if time.Since(start) >= parkSpin {
+		if time.Since(start) >= parkSpin || g != nil && !w.pool.solo() {
 			return false
 		}
 	}
@@ -2015,7 +2046,7 @@ func (w *Worker) mainLoop() {
 			if solo || acct {
 				idleStart = time.Now()
 			}
-			if solo && w.spin(idleStart) {
+			if solo && w.spin(idleStart, nil) {
 				worked = true
 				continue
 			}
