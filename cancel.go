@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"hybridloop/internal/loop"
 	"hybridloop/internal/sched"
 )
 
@@ -27,47 +26,59 @@ var ErrLoopCancelled = sched.ErrCancelled
 //
 // A panicking body is not converted to an error: the panic cancels the
 // remaining workers the same way and then propagates to the caller as a
-// *TaskPanicError, exactly as it does from For.
+// *TaskPanicError, exactly as it does from For. Under admission control a
+// rejected submission degrades to a serial inline run, exactly as For
+// does: body is called once with the whole range on the calling goroutine
+// and its error (if any) returned.
+//
+//sched:noalloc
 func (p *Pool) ForErr(begin, end int, body func(lo, hi int) error, opts ...ForOption) error {
-	return p.forErr(begin, end, body, opts, 2)
+	if end <= begin {
+		return nil
+	}
+	if p.admitOrInline() {
+		if p.mreg != nil {
+			defer p.observeInline(time.Now())
+		}
+		return body(begin, end)
+	} else if p.gate != nil {
+		defer p.gate.Release()
+	}
+	r := p.start(opts, 1)
+	if p.mreg != nil {
+		defer p.observe(seriesKey(r.Options()), time.Now())
+	}
+	return r.ForErr(begin, end, body)
 }
 
 // ForEachErr is ForErr with a per-index body. The erroring worker stops
 // mid-chunk at the failing index; other workers stop at their next chunk
-// boundary.
+// boundary. Under admission control a rejected submission degrades to a
+// serial inline run that stops at the first error.
+//
+//sched:noalloc
 func (p *Pool) ForEachErr(begin, end int, body func(i int) error, opts ...ForOption) error {
-	return p.forErr(begin, end, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	if end <= begin {
+		return nil
+	}
+	if p.admitOrInline() {
+		if p.mreg != nil {
+			defer p.observeInline(time.Now())
+		}
+		for i := begin; i < end; i++ {
 			if err := body(i); err != nil {
 				return err
 			}
 		}
 		return nil
-	}, opts, 2)
-}
-
-// forErr is the shared lowering of ForErr/ForEachErr. skip is the frame
-// distance to the user's call site for Auto-loop attribution. Under
-// admission control a rejected submission degrades to a serial inline
-// run, exactly as For does: body is called once with the whole range on
-// the calling goroutine and its error (if any) returned.
-func (p *Pool) forErr(begin, end int, body func(lo, hi int) error, opts []ForOption, skip int) error {
-	if end <= begin {
-		return nil
+	} else if p.gate != nil {
+		defer p.gate.Release()
 	}
-	if release, inline := p.admitOrInline(); inline {
-		if p.mreg != nil {
-			defer p.observeInline(time.Now())
-		}
-		return body(begin, end)
-	} else if release != nil {
-		defer release()
-	}
-	o := p.options(opts, skip)
+	r := p.start(opts, 1)
 	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
+		defer p.observe(seriesKey(r.Options()), time.Now())
 	}
-	return loop.ForErr(p.s, begin, end, body, o)
+	return r.ForEachErr(begin, end, body)
 }
 
 // ForCtx executes body over [begin, end) in parallel like For, stopping
@@ -81,6 +92,8 @@ func (p *Pool) forErr(begin, end int, body func(lo, hi int) error, opts []ForOpt
 // The body itself is not passed the context: chunk sizes are chosen small
 // enough that checking between chunks is the intended granularity. Bodies
 // with very long single iterations should consult ctx themselves.
+//
+//sched:noalloc
 func (p *Pool) ForCtx(ctx context.Context, begin, end int, body Body, opts ...ForOption) error {
 	if end <= begin {
 		return nil
@@ -99,13 +112,13 @@ func (p *Pool) ForCtx(ctx context.Context, begin, end int, body Body, opts ...Fo
 		}
 		defer p.gate.Release()
 	}
+	r := p.start(opts, 1)
+	if p.mreg != nil {
+		defer p.observe(seriesKey(r.Options()), time.Now())
+	}
 	if ctx.Done() == nil {
-		p.forUngated(begin, end, body, opts)
+		r.For(begin, end, body)
 		return nil
 	}
-	o := p.options(opts, 1)
-	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
-	}
-	return loop.ForCtx(p.s, ctx, begin, end, body, o)
+	return r.ForCtx(ctx, begin, end, body)
 }

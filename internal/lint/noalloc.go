@@ -26,6 +26,11 @@ import (
 //     them box),
 //   - closures that capture variables (a deferred closure outside any
 //     loop is exempt — the compiler open-codes it on the stack),
+//   - bound method values (x.M not called at once, such as a returned
+//     g.Release), which pair the receiver with the method in a closure,
+//   - a local's address passed to a call through a function value
+//     (fn(&o)), which moves the local to the heap, as the compiler
+//     cannot see what the callee does with the pointer,
 //   - go statements, and defer inside a loop.
 //
 // The check is intra-procedural by design: a call is trusted, because
@@ -119,6 +124,8 @@ func (nc *noallocCheck) check() {
 			}
 		case *ast.FuncLit:
 			nc.funcLit(n, stack)
+		case *ast.SelectorExpr:
+			nc.methodValue(n, stack)
 		case *ast.GoStmt:
 			nc.reportf(n.Pos(), "go statement allocates a goroutine")
 		case *ast.DeferStmt:
@@ -165,6 +172,13 @@ func (nc *noallocCheck) call(call *ast.CallExpr) {
 	// Ordinary calls: check each argument against the parameter type for
 	// interface boxing, and flag variadic calls that materialize the
 	// argument slice.
+	if nc.dynamicCallee(fun) {
+		for _, arg := range call.Args {
+			if id := addrOfLocal(nc.pkg, arg); id != nil {
+				nc.reportf(arg.Pos(), "&%s passed through a function value moves %s to the heap", id.Name, id.Name)
+			}
+		}
+	}
 	ft := nc.typeOf(call.Fun)
 	if ft == nil {
 		return
@@ -286,6 +300,90 @@ func (nc *noallocCheck) funcLit(lit *ast.FuncLit, stack []ast.Node) {
 	if len(captured) > 0 {
 		nc.reportf(lit.Pos(), "closure captures %s and heap-allocates its environment", strings.Join(captured, ", "))
 	}
+}
+
+// methodValue flags x.M used as a value rather than called at once: the
+// func value binds the receiver in a closure, which escapes wherever the
+// value goes (returned, stored, passed on). Method expressions (T.M) bind
+// nothing and pass.
+func (nc *noallocCheck) methodValue(sel *ast.SelectorExpr, stack []ast.Node) {
+	s, ok := nc.pkg.Info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return
+	}
+	if len(stack) > 0 {
+		if call, ok := stack[len(stack)-1].(*ast.CallExpr); ok && ast.Unparen(call.Fun) == sel {
+			return
+		}
+	}
+	nc.reportf(sel.Pos(), "method value %s binds its receiver in a heap-allocated closure", types.ExprString(sel))
+}
+
+// dynamicCallee reports whether fun, the callee of a call, is a function
+// value — a variable, a field, an element or a call result — rather than
+// a declared function or method, or a literal called in place.
+func (nc *noallocCheck) dynamicCallee(fun ast.Expr) bool {
+	switch f := fun.(type) {
+	case *ast.FuncLit:
+		return false
+	case *ast.Ident:
+		_, isVar := nc.pkg.Info.Uses[f].(*types.Var)
+		return isVar
+	case *ast.SelectorExpr:
+		if s, ok := nc.pkg.Info.Selections[f]; ok {
+			return s.Kind() == types.FieldVal
+		}
+		_, isVar := nc.pkg.Info.Uses[f.Sel].(*types.Var) // a package's variable
+		return isVar
+	case *ast.IndexExpr:
+		return !nc.declaredFunc(f.X) && nc.isFuncValue(fun) // F[T] instantiates a declared F
+	case *ast.IndexListExpr:
+		return !nc.declaredFunc(f.X) && nc.isFuncValue(fun)
+	case *ast.CallExpr:
+		return nc.isFuncValue(fun)
+	}
+	return false
+}
+
+// declaredFunc reports whether e names a declared function.
+func (nc *noallocCheck) declaredFunc(e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		_, ok := nc.pkg.Info.Uses[e].(*types.Func)
+		return ok
+	case *ast.SelectorExpr:
+		_, ok := nc.pkg.Info.Uses[e.Sel].(*types.Func)
+		return ok
+	}
+	return false
+}
+
+// isFuncValue reports whether e has a function type.
+func (nc *noallocCheck) isFuncValue(e ast.Expr) bool {
+	t := nc.typeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Signature)
+	return ok
+}
+
+// addrOfLocal returns x when e is &x for a variable x local to a function
+// (a parameter or a variable declared in its body), or nil.
+func addrOfLocal(pkg *Package, e ast.Expr) *ast.Ident {
+	un, ok := ast.Unparen(e).(*ast.UnaryExpr)
+	if !ok || un.Op != token.AND {
+		return nil
+	}
+	id, ok := ast.Unparen(un.X).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := pkg.Info.Uses[id].(*types.Var)
+	if !ok || v.IsField() || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
+		return nil
+	}
+	return id
 }
 
 // ifaceConv flags an implicit value-to-interface conversion of e into

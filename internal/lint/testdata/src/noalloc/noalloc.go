@@ -9,6 +9,10 @@ import "sync/atomic"
 
 type point struct{ x, y int }
 
+func (p *point) sum() int { return p.x + p.y }
+
+func scale(p *point, k int) { p.x, p.y = p.x*k, p.y*k }
+
 func variadic(xs ...int) int { return len(xs) }
 
 func sink(v any)
@@ -33,6 +37,11 @@ func allocating(m map[int]int, s string, b []byte, n int) string {
 	for i := 0; i < n; i++ {
 		defer f() // want: defer inside a loop
 	}
+	g := p.sum // want: bound method value
+	_ = g
+	var o point
+	apply := func(q *point) { q.x = 1 }
+	apply(&o) // want: address of a local passed through a function value
 	return s
 }
 
@@ -43,11 +52,17 @@ func unannotated(n int) []int {
 }
 
 //sched:noalloc
-func clean(w *atomic.Uint64, p *point, n int) int {
+func clean(w *atomic.Uint64, p *point, fn func(*point), n int) int {
 	w.Store(uint64(n))
-	sink(p)     // pointer-shaped: stored directly in the interface word
-	sink(nil)   // nil never boxes
-	sink("lit") // constants are static data
+	_ = p.sum()       // a method called at once binds nothing
+	h := (*point).sum // a method expression binds no receiver
+	_ = h(p)
+	var o point
+	scale(&o, n) // a declared callee: escape analysis sees what it keeps
+	fn(p)        // a pointer the caller already holds moves nothing
+	sink(p)      // pointer-shaped: stored directly in the interface word
+	sink(nil)    // nil never boxes
+	sink("lit")  // constants are static data
 	var a any = p
 	sink(a)        // interface to interface
 	defer w.Add(1) // open-coded defer outside any loop

@@ -47,13 +47,18 @@ type paddedNanos struct {
 	_     [56]byte
 }
 
-// invObs collects one Auto invocation's feedback: executed chunks and
-// per-worker busy time, from which the finish closure derives the
-// imbalance signal (max − min busy time over participating workers).
+// invObs collects one observed Auto play's feedback: executed chunks and
+// per-worker busy time, from which finish derives the imbalance signal
+// (max − min busy time over participating workers), and the decision and
+// counters it reports against. A root loop's lives in its frame and is
+// reset per play; a nested loop allocates its own.
 type invObs struct {
 	start  time.Time
 	chunks atomic.Int64
 	busy   []paddedNanos // indexed by worker ID
+	d      adaptive.Decision
+	n      int
+	before sched.Stats // the pool's counter totals when the play began
 }
 
 func (o *invObs) runTimed(w *sched.Worker, body BodyW, lo, hi int) {
@@ -63,20 +68,44 @@ func (o *invObs) runTimed(w *sched.Worker, body BodyW, lo, hi int) {
 	o.chunks.Add(1)
 }
 
+// observer returns the feedback record of an observed play on a pool of
+// p workers, reset: the frame's for a root loop, a new one otherwise.
+//
+//sched:noalloc
+func (o *Options) observer(p int) *invObs {
+	f := o.frame
+	if f == nil {
+		//lint:ignore noalloc a nested loop has no frame
+		return &invObs{busy: make([]paddedNanos, p)}
+	}
+	obs := &f.obs
+	if len(obs.busy) != p {
+		//lint:ignore noalloc once per frame: the busy slots of its pool's workers
+		obs.busy = make([]paddedNanos, p)
+	}
+	for i := range obs.busy {
+		obs.busy[i].nanos.Store(0)
+	}
+	obs.chunks.Store(0)
+	return obs
+}
+
 // beginAuto consults the tuner and rewrites opts in place with the
-// decided concrete strategy, chunk, and serial cutoff. The returned
-// closure (deferred by WorkerForW, so it runs even when the body panics)
+// decided concrete strategy, chunk, and serial cutoff. For a play the
+// tuner wants observed it returns the play's feedback record, whose
+// finish (deferred by workerForW, so it runs even when the body panics)
 // reports the invocation's outcome. Without a tuner — a nested free loop
 // on a bare sched.Pool — Auto degrades to Hybrid.
-func beginAuto(w *sched.Worker, begin, end int, opts *Options) func() {
+//
+//sched:noalloc
+func beginAuto(w *sched.Worker, begin, end int, opts *Options) *invObs {
 	if opts.Tuner == nil {
 		opts.Strategy = Hybrid
 		return nil
 	}
 	n := end - begin
 	pool := w.Pool()
-	tuner := opts.Tuner
-	d := tuner.Decide(opts.Site, n, opts.chunk(n, pool.P()))
+	d := opts.Tuner.Decide(opts.Site, n, opts.chunk(n, pool.P()))
 	opts.Strategy = Strategy(d.Arm.Strategy)
 	opts.Chunk = d.Chunk
 	if d.SerialCutoff > opts.SerialCutoff {
@@ -100,50 +129,57 @@ func beginAuto(w *sched.Worker, begin, end int, opts *Options) func() {
 		// the committed configuration with zero observation overhead.
 		return nil
 	}
-	o := &invObs{start: time.Now(), busy: make([]paddedNanos, pool.P())}
+	o := opts.observer(pool.P())
+	o.d, o.n = d, n
+	o.before = pool.Totals()
+	o.start = time.Now()
 	opts.obs = o
-	before := pool.Stats()
-	return func() {
-		if opts.Cancel.Cancelled() {
-			// A cancelled (or panicked) run measures where the cancel
-			// landed, not what the configuration costs: discard the
-			// sample so the tuner is never trained on truncated loops.
-			tuner.Discard(d)
-			return
-		}
-		after := pool.Stats()
-		elapsed := time.Since(o.start)
-		// Imbalance over participating workers only: a serial or
-		// single-worker run has nothing to balance, so it reports zero
-		// rather than penalizing itself against idle workers.
-		var minBusy, maxBusy int64
-		participants := 0
-		for i := range o.busy {
-			b := o.busy[i].nanos.Load()
-			if b <= 0 {
-				continue
-			}
-			participants++
-			if participants == 1 || b < minBusy {
-				minBusy = b
-			}
-			if b > maxBusy {
-				maxBusy = b
-			}
-		}
-		var imb time.Duration
-		if participants > 1 {
-			imb = time.Duration(maxBusy - minBusy)
-		}
-		tuner.Report(d, adaptive.Observation{
-			Elapsed:      elapsed,
-			Iterations:   n,
-			Chunks:       o.chunks.Load(),
-			Steals:       after.Steals - before.Steals,
-			FailedSteals: after.FailedSteals - before.FailedSteals,
-			RangeSteals:  after.RangeSteals - before.RangeSteals,
-			LoopEntries:  after.LoopEntries - before.LoopEntries,
-			Imbalance:    imb,
-		})
+	return o
+}
+
+// finish reports the observed play's outcome on pool to opts.Tuner.
+//
+//sched:noalloc
+func (o *invObs) finish(pool *sched.Pool, opts *Options) {
+	if opts.Cancel.Cancelled() {
+		// A cancelled (or panicked) run measures where the cancel
+		// landed, not what the configuration costs: discard the
+		// sample so the tuner is never trained on truncated loops.
+		opts.Tuner.Discard(o.d)
+		return
 	}
+	after := pool.Totals()
+	elapsed := time.Since(o.start)
+	// Imbalance over participating workers only: a serial or
+	// single-worker run has nothing to balance, so it reports zero
+	// rather than penalizing itself against idle workers.
+	var minBusy, maxBusy int64
+	participants := 0
+	for i := range o.busy {
+		b := o.busy[i].nanos.Load()
+		if b <= 0 {
+			continue
+		}
+		participants++
+		if participants == 1 || b < minBusy {
+			minBusy = b
+		}
+		if b > maxBusy {
+			maxBusy = b
+		}
+	}
+	var imb time.Duration
+	if participants > 1 {
+		imb = time.Duration(maxBusy - minBusy)
+	}
+	opts.Tuner.Report(o.d, adaptive.Observation{
+		Elapsed:      elapsed,
+		Iterations:   o.n,
+		Chunks:       o.chunks.Load(),
+		Steals:       after.Steals - o.before.Steals,
+		FailedSteals: after.FailedSteals - o.before.FailedSteals,
+		RangeSteals:  after.RangeSteals - o.before.RangeSteals,
+		LoopEntries:  after.LoopEntries - o.before.LoopEntries,
+		Imbalance:    imb,
+	})
 }

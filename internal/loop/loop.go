@@ -169,9 +169,9 @@ type Options struct {
 	// by beginAuto only.
 	pollStride int32
 	// frame is the recycled frame a root loop runs on, whose descriptor,
-	// partition set and token it uses in place of allocating its own.
-	// Internal: set by the root entry points (For, ForW, ForErr, ForCtx)
-	// only; nil for nested loops.
+	// partition set, token and Auto feedback it uses in place of
+	// allocating its own. Internal: set by Acquire only; nil for nested
+	// loops.
 	frame *frame
 }
 
@@ -210,9 +210,7 @@ func For(pool *sched.Pool, begin, end int, body Body, opts Options) {
 	if end <= begin {
 		return
 	}
-	f := acquireFrame(pool)
-	f.plain = body
-	f.run(pool, nil, begin, end, f.adapt, &opts)
+	start(pool, &opts).For(begin, end, body)
 }
 
 // ForErr is For with a body that may fail: the first error cancels the
@@ -224,10 +222,7 @@ func ForErr(pool *sched.Pool, begin, end int, body func(lo, hi int) error, opts 
 	if end <= begin {
 		return nil
 	}
-	f := acquireFrame(pool)
-	f.fallible = body
-	opts.Cancel = f.cancel
-	return f.run(pool, nil, begin, end, f.adaptErr, &opts)
+	return start(pool, &opts).ForErr(begin, end, body)
 }
 
 // ForCtx is For stopped early by ctx: the loop's token watches ctx, so the
@@ -239,10 +234,7 @@ func ForCtx(pool *sched.Pool, ctx context.Context, begin, end int, body Body, op
 	if end <= begin {
 		return nil
 	}
-	f := acquireFrame(pool)
-	f.plain = body
-	opts.Cancel = f.cancel
-	return f.run(pool, ctx, begin, end, f.adapt, &opts)
+	return start(pool, &opts).ForCtx(ctx, begin, end, body)
 }
 
 // WorkerFor is For callable from inside a running task (nested loops).
@@ -257,7 +249,7 @@ func ForW(pool *sched.Pool, begin, end int, body BodyW, opts Options) {
 	if end <= begin {
 		return
 	}
-	acquireFrame(pool).run(pool, nil, begin, end, body, &opts)
+	start(pool, &opts).ForW(begin, end, body)
 }
 
 // WorkerForW is the worker-aware core all loop forms funnel into.
@@ -279,10 +271,10 @@ func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	}
 	if opts.Strategy == Auto {
 		// Resolve Auto into a concrete strategy/chunk/cutoff before
-		// dispatch; finish (run before the deferred LoopEnd) reports the
-		// invocation's outcome back to the tuner.
-		if finish := beginAuto(w, begin, end, opts); finish != nil {
-			defer finish()
+		// dispatch; an observed play's finish (run before the deferred
+		// LoopEnd) reports the invocation's outcome back to the tuner.
+		if o := beginAuto(w, begin, end, opts); o != nil {
+			defer o.finish(w.Pool(), opts)
 		}
 	}
 	// A panic unwinding out of the strategy dispatch must also trip the
@@ -290,7 +282,7 @@ func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	// group, like every other participant's, so the group's BindCancel hook
 	// halts the rest and the join re-raises only once they have finished;
 	// what unwinds here is that re-raise or a serial loop's body. Registered
-	// after beginAuto so it runs before the finish closure, which discards
+	// after beginAuto so it runs before finish, which discards
 	// the truncated sample when it observes the tripped token.
 	defer func() {
 		if r := recover(); r != nil {

@@ -70,25 +70,26 @@ type loopSeries struct {
 
 type loopSeriesKey struct{ site, strategy string }
 
-// observeLoop records one completed loop submission. Called via defer
-// with time.Now() captured at the defer statement, so start is the
-// submission time. Callers check p.mreg first, so metrics off costs
-// nothing.
-func (p *Pool) observeLoop(o *loop.Options, start time.Time) {
-	p.observe(loopSeriesKey{o.Label, o.Strategy.String()}, start)
+// seriesKey is the (site, strategy) key of a loop's duration series, read
+// from its options before it runs: the strategy the caller asked for, so
+// an Auto loop is "auto" whichever arm the tuner plays.
+func seriesKey(o *loop.Options) loopSeriesKey {
+	return loopSeriesKey{o.Label, o.Strategy.String()}
 }
 
 // observeInline records a loop submission the admission gate degraded to
-// a serial inline run (the scheduler never saw it, so observeLoop's
+// a serial inline run (the scheduler never saw it, so the options'
 // strategy label would be a lie).
 func (p *Pool) observeInline(start time.Time) {
 	p.observe(loopSeriesKey{"", "inline"}, start)
 }
 
-// observe times one loop call into k's series. The handles come from the
-// pool's copy-on-write cache, one atomic load and a map probe with no
-// allocation; the registry is asked only for a pair not seen before, and
-// as labels are a closed set the cache stops growing.
+// observe times one loop call into k's series. Callers defer it with
+// time.Now() evaluated at the defer statement, so start is the submission
+// time, and check p.mreg first, so metrics off costs nothing. The handles
+// come from the pool's copy-on-write cache, one atomic load and a map
+// probe with no allocation; the registry is asked only for a pair not
+// seen before, and as labels are a closed set the cache stops growing.
 func (p *Pool) observe(k loopSeriesKey, start time.Time) {
 	var s loopSeries
 	ok := false

@@ -1,6 +1,10 @@
 package hybridloop
 
-import "hybridloop/internal/loop"
+import (
+	"time"
+
+	"hybridloop/internal/loop"
+)
 
 // WithWeight attaches a per-iteration cost hint to a loop: Static and
 // Hybrid then partition by equal total weight instead of equal iteration
@@ -27,16 +31,14 @@ func Reduce[T any](p *Pool, begin, end, blockSize int, identity T,
 		return identity
 	}
 	if blockSize <= 0 {
-		blockSize = 1024
+		blockSize = loop.SumBlock
 	}
 	n := end - begin
 	nb := (n + blockSize - 1) / blockSize
 	partials := make([]T, nb)
-	// Attribute the inner loop to Reduce's caller (prepended, so an
-	// explicit site from a wrapper like Sum wins): under Auto, the tuning
-	// profile belongs to the user's reduction, not to this line.
-	opts = append([]ForOption{withSite(callerPC(1))}, opts...)
-	p.For(0, nb, func(blo, bhi int) {
+	// skip = 2 attributes an Auto inner loop to Reduce's caller: the
+	// tuning profile belongs to the user's reduction, not to this file.
+	p.forSkip(0, nb, func(blo, bhi int) {
 		for b := blo; b < bhi; b++ {
 			lo := begin + b*blockSize
 			hi := lo + blockSize
@@ -45,7 +47,7 @@ func Reduce[T any](p *Pool, begin, end, blockSize int, identity T,
 			}
 			partials[b] = chunk(lo, hi)
 		}
-	}, opts...)
+	}, opts, 2)
 	acc := identity
 	for _, pv := range partials {
 		acc = combine(acc, pv)
@@ -54,21 +56,30 @@ func Reduce[T any](p *Pool, begin, end, blockSize int, identity T,
 }
 
 // Sum is Reduce specialized to float64 addition over a per-index value
-// function — the common dot-product/norm shape.
+// function — the common dot-product/norm shape — with the default block
+// size, and allocation-free: the blocks' sums live in the loop's recycled
+// frame. Like Reduce it adds block sums in block order, so its result is
+// the same bit for bit across runs, worker counts and strategies, and
+// under admission control a rejected call sums the same blocks inline.
+//
+//sched:noalloc
 func Sum(p *Pool, begin, end int, f func(i int) float64, opts ...ForOption) float64 {
-	// A full slice expression, so the append copies: writing into spare
-	// capacity of the caller's array would race other callers sharing it.
-	opts = append(opts[:len(opts):len(opts)], withSite(callerPC(1)))
-	return Reduce(p, begin, end, 0, 0.0,
-		func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += f(i)
-			}
-			return s
-		},
-		func(a, b float64) float64 { return a + b },
-		opts...)
+	if end <= begin {
+		return 0
+	}
+	if p.admitOrInline() {
+		if p.mreg != nil {
+			defer p.observeInline(time.Now())
+		}
+		return loop.SerialSum(begin, end, f)
+	} else if p.gate != nil {
+		defer p.gate.Release()
+	}
+	r := p.start(opts, 1)
+	if p.mreg != nil {
+		defer p.observe(seriesKey(r.Options()), time.Now())
+	}
+	return r.Sum(begin, end, f)
 }
 
 // For2D executes body over the 2-D iteration space [r0, r1) x [c0, c1) in
@@ -97,7 +108,7 @@ func (p *Pool) For2D(r0, r1, c0, c1, tileR, tileC int,
 	// One tile per loop iteration: the chunking below must not merge
 	// tiles across a row boundary into one body call, so the body is
 	// invoked per tile inside the chunk.
-	p.For(0, tilesR*tilesC, func(lo, hi int) {
+	p.forSkip(0, tilesR*tilesC, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			tr, tc := t/tilesC, t%tilesC
 			rlo := r0 + tr*tileR
@@ -112,7 +123,7 @@ func (p *Pool) For2D(r0, r1, c0, c1, tileR, tileC int,
 			}
 			body(rlo, rhi, clo, chi)
 		}
-	}, append([]ForOption{WithChunk(1), withSite(callerPC(1))}, opts...)...)
+	}, append([]ForOption{WithChunk(1)}, opts...), 2)
 }
 
 // defaultTile picks a square-ish power-of-two tile size giving about 8

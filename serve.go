@@ -76,6 +76,8 @@ func (p *Pool) LoopsRegistered() int64 { return p.s.LoopsRegistered() }
 // the submission it returns ErrBackpressure without executing any
 // iteration; otherwise it runs the loop to completion and returns nil.
 // On a pool without admission control it is exactly For.
+//
+//sched:noalloc
 func (p *Pool) TryFor(begin, end int, body Body, opts ...ForOption) error {
 	if end <= begin {
 		return nil
@@ -86,40 +88,28 @@ func (p *Pool) TryFor(begin, end int, body Body, opts ...ForOption) error {
 		}
 		defer p.gate.Release()
 	}
-	o := p.options(opts, 1)
+	r := p.start(opts, 1)
 	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
+		defer p.observe(seriesKey(r.Options()), time.Now())
 	}
-	loop.For(p.s, begin, end, body, o)
+	r.For(begin, end, body)
 	return nil
 }
 
-// forUngated runs a loop without consulting the admission gate, for
-// callers (ForCtx) that performed their own admission. skip = 2: the
-// user's call site is two frames above the options materialization.
-func (p *Pool) forUngated(begin, end int, body Body, opts []ForOption) {
-	o := p.options(opts, 2)
-	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
-	}
-	loop.For(p.s, begin, end, body, o)
-}
-
 // admitOrInline performs the gated admission of a blocking public loop
-// call. inline == true means the gate rejected the submission and the
+// call. It reports true when the gate rejected the submission and the
 // caller must degrade to a serial inline run on its own goroutine —
 // bounded degradation instead of oversubscription: the pool's worker
 // count and the in-flight loop count stay fixed, and the excess
 // submission costs only the calling goroutine (which would have blocked
-// in the pool anyway). Otherwise release must be called (if non-nil)
+// in the pool anyway). Otherwise a gated caller must release the gate
 // when the loop completes.
-func (p *Pool) admitOrInline() (release func(), inline bool) {
-	if p.gate == nil {
-		return nil, false
+//
+//sched:noalloc
+func (p *Pool) admitOrInline() (inline bool) {
+	if p.gate == nil || p.gate.TryAcquire() {
+		return false
 	}
-	if !p.gate.TryAcquire() {
-		p.gate.NoteInline()
-		return nil, true
-	}
-	return p.gate.Release, false
+	p.gate.NoteInline()
+	return true
 }
