@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,8 +28,14 @@ func main() {
 	flag.Parse()
 
 	if *r < 1 || *r&(*r-1) != 0 {
-		fmt.Printf("r = %d is not a power of two\n", *r)
-		return
+		fail(fmt.Errorf("r = %d is not a power of two", *r))
+	}
+	var arrivals []arrival
+	if *scenario != "" {
+		var err error
+		if arrivals, err = parseScenario(*scenario, *r); err != nil {
+			fail(err)
+		}
 	}
 
 	fmt.Printf("Claim orders for R = %d (worker w visits partition i XOR w):\n\n", *r)
@@ -61,29 +68,34 @@ func main() {
 	if *scenario == "" {
 		return
 	}
-	arrivals, err := parseScenario(*scenario, *r)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
 	fmt.Printf("\nScenario %s over %d partitions:\n\n", *scenario, *r)
 	runScenario(arrivals, *r)
 }
 
+// fail reports a usage error on stderr and exits 2.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "claimviz:", err)
+	os.Exit(2)
+}
+
 type arrival struct{ worker, step int }
 
+// parseScenario parses "worker:step" pairs, each worker in [0, r) and at
+// most once, into arrivals sorted by step.
 func parseScenario(s string, r int) ([]arrival, error) {
 	var out []arrival
+	seen := make(map[int]bool)
 	for _, pair := range strings.Split(s, ",") {
-		parts := strings.SplitN(pair, ":", 2)
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("bad pair %q", pair)
+		ws, ts, ok := strings.Cut(pair, ":")
+		w, err1 := strconv.Atoi(ws)
+		t, err2 := strconv.Atoi(ts)
+		if !ok || err1 != nil || err2 != nil || w < 0 || w >= r || t < 0 {
+			return nil, fmt.Errorf("bad pair %q: want worker:step, worker in [0, %d), step >= 0", pair, r)
 		}
-		w, err1 := strconv.Atoi(parts[0])
-		t, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil || w < 0 || w >= r || t < 0 {
-			return nil, fmt.Errorf("bad pair %q", pair)
+		if seen[w] {
+			return nil, fmt.Errorf("worker %d enters twice", w)
 		}
+		seen[w] = true
 		out = append(out, arrival{w, t})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].step < out[j].step })

@@ -1,8 +1,8 @@
 // Simulate: drive the discrete-event multicore simulator directly — build
 // a custom workload, run it under two strategies on the paper's 32-core
 // machine, and inspect time, affinity, steal counts and the memory-
-// hierarchy counters. This is the machinery behind cmd/loopbench and
-// friends, usable for what-if studies (e.g. changing the topology).
+// hierarchy counters. This is the machinery behind cmd/paperrepro's
+// figures, usable for what-if studies (e.g. changing the topology).
 package main
 
 import (

@@ -10,8 +10,8 @@ import (
 // ablation. Machine noise makes tight ratio assertions flaky in CI, so
 // this checks structure and sanity: every cell measured, a best fixed
 // strategy picked, Auto converged to a nameable choice, and its cost in
-// the same order of magnitude as the best fixed strategy. The real 15%
-// convergence claim is demonstrated by `loopbench -strategy auto`.
+// the same order of magnitude as the best fixed strategy. The full-size
+// ablation is the last section of cmd/paperrepro.
 func TestAutoAblationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation timing loop")
@@ -46,7 +46,7 @@ func TestAutoAblationSmoke(t *testing.T) {
 		if r.AutoChoice == "" || r.AutoChoice == "none" {
 			t.Fatalf("%s: auto left no tuner profile", r.Workload)
 		}
-		// Very loose sanity bound; the real threshold lives in loopbench.
+		// Very loose sanity bound; cmd/paperrepro prints the real distance.
 		if r.AutoNs > 10*r.BestNs {
 			t.Fatalf("%s: auto converged to %.1f ns/iter, best fixed is %.1f",
 				r.Workload, r.AutoNs, r.BestNs)

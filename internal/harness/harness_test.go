@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
@@ -167,74 +166,5 @@ func TestReportHTML(t *testing.T) {
 	}
 	if strings.Contains(h, "<report>") {
 		t.Fatal("title not escaped")
-	}
-}
-
-func TestWriteSVGSanitizesName(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteSVG(dir, "fig/1: balanced 12MB", "<svg/>"); err != nil {
-		t.Fatal(err)
-	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 {
-		t.Fatalf("%d files", len(entries))
-	}
-	name := entries[0].Name()
-	if strings.ContainsAny(name, "/: ") {
-		t.Fatalf("unsanitized name %q", name)
-	}
-}
-
-func TestCSVOutputs(t *testing.T) {
-	res := Scalability{
-		Machine:    topology.Paper(),
-		Workload:   benchWorkload(),
-		Ps:         []int{1, 8},
-		Strategies: []loop.Strategy{loop.Hybrid},
-		Seeds:      []uint64{1},
-	}.Run()
-	csv := res.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 3 { // header + 2 P values
-		t.Fatalf("%d CSV lines:\n%s", len(lines), csv)
-	}
-	if !strings.HasPrefix(lines[0], "workload,strategy,p,") {
-		t.Fatalf("bad header %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "hybrid,1,") {
-		t.Fatalf("bad row %q", lines[1])
-	}
-
-	aff := Affinity{
-		Machine:    topology.Paper(),
-		Workloads:  []sim.Workload{benchWorkload()},
-		Strategies: []loop.Strategy{loop.Static},
-		Seeds:      []uint64{1},
-	}.Run()
-	if !strings.Contains(aff.CSV(), "omp_static,32,1.000000") {
-		t.Fatalf("affinity CSV wrong:\n%s", aff.CSV())
-	}
-
-	mem := MemCounts{Machine: topology.Paper(), Workloads: []sim.Workload{benchWorkload()}}.Run()
-	if !strings.Contains(mem.CSV(), "remote DRAM") {
-		t.Fatalf("memcounts CSV missing levels:\n%s", mem.CSV())
-	}
-
-	dir := t.TempDir()
-	if err := WriteCSV(dir, "fig x/y", csv); err != nil {
-		t.Fatal(err)
-	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 || strings.ContainsAny(entries[0].Name(), "/ ") {
-		t.Fatalf("bad CSV file: %v", entries)
-	}
-}
-
-func TestCSVEscape(t *testing.T) {
-	if csvEscape("plain") != "plain" {
-		t.Fatal("plain escaped")
-	}
-	if csvEscape(`a,b"c`) != `"a,b""c"` {
-		t.Fatalf("got %q", csvEscape(`a,b"c`))
 	}
 }

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"hybridloop/internal/loop"
 	"hybridloop/internal/plot"
@@ -87,22 +85,4 @@ func (r MemCountsResult) SVGCharts() []*plot.BarChart {
 		out = append(out, c)
 	}
 	return out
-}
-
-// WriteSVG writes the chart-producing result into dir with a sanitized
-// file name, creating dir if needed. A nil error means the file exists.
-func WriteSVG(dir, name, svg string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	safe := make([]rune, 0, len(name))
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			safe = append(safe, r)
-		default:
-			safe = append(safe, '_')
-		}
-	}
-	return os.WriteFile(filepath.Join(dir, string(safe)+".svg"), []byte(svg), 0o644)
 }

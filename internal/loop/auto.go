@@ -131,7 +131,7 @@ func beginAuto(w *sched.Worker, begin, end int, opts *Options) *invObs {
 	}
 	o := opts.observer(pool.P())
 	o.d, o.n = d, n
-	o.before = pool.Totals()
+	o.before = pool.Stats()
 	o.start = time.Now()
 	opts.obs = o
 	return o
@@ -148,7 +148,7 @@ func (o *invObs) finish(pool *sched.Pool, opts *Options) {
 		opts.Tuner.Discard(o.d)
 		return
 	}
-	after := pool.Totals()
+	after := pool.Stats()
 	elapsed := time.Since(o.start)
 	// Imbalance over participating workers only: a serial or
 	// single-worker run has nothing to balance, so it reports zero

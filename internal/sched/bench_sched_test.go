@@ -73,7 +73,7 @@ func TestRunAllocFree(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		pool *sched.Pool
-	}{{"borrow", sched.NewPool(p, 1)}, {"submit", sched.NewPoolLocked(p, 1)}} {
+	}{{"borrow", sched.NewPool(p, 1)}, {"submit", sched.NewPoolPlaced(p, 1, true, nil)}} {
 		allocs := testing.AllocsPerRun(1000, func() {
 			c.pool.Run(func(w *sched.Worker) {})
 		})

@@ -198,7 +198,7 @@ func TestBorrowCloseNoLeak(t *testing.T) {
 // threads (WithOSThreads) never borrows — the root would run on the
 // caller's thread instead of a worker's.
 func TestBorrowNeverOnLockedPool(t *testing.T) {
-	p := NewPoolLocked(2, 1)
+	p := NewPoolPlaced(2, 1, true, nil)
 	defer p.Close()
 	waitIdle(t, p)
 	var lent atomic.Int64

@@ -249,17 +249,14 @@ type Stats struct {
 	// on its state word after a failed announce-then-sweep, not wakes that
 	// land during the announcement. Bumped only on the blocking slow path.
 	Parks int64
-	// BusyNanos / IdleNanos are the pool-wide sums of the per-worker
-	// busy/parked times below. Zero unless SetTimeAccounting(true).
+	// BusyNanos is the time workers spent executing work (bursts of
+	// consecutive successful task acquisitions; the clock is read at
+	// busy↔idle transitions, not per task, so the counter costs nothing on
+	// the per-task hot path); IdleNanos is the time they spent parked.
+	// Both are sums over workers (PerWorker has each worker's share) and
+	// zero unless SetTimeAccounting(true).
 	BusyNanos int64
 	IdleNanos int64
-	// WorkerBusyNanos[i] is the time worker i spent executing work (bursts
-	// of consecutive successful task acquisitions; the clock is read at
-	// busy↔idle transitions, not per task, so the counters cost nothing on
-	// the per-task hot path). WorkerIdleNanos[i] is the time worker i
-	// spent parked. Both all-zero unless SetTimeAccounting(true).
-	WorkerBusyNanos []int64
-	WorkerIdleNanos []int64
 }
 
 // Pool is a work-stealing scheduler with a fixed set of workers.
@@ -309,9 +306,9 @@ type Pool struct {
 	// runs counts the Runs in flight. With at most one (solo), the caller
 	// borrows and idle workers spin; see borrow and spin.
 	runs atomic.Int64
-	// lockThreads records NewPoolLocked/WithOSThreads: each worker runs on
-	// its own locked OS thread, so Run never borrows an identity (the
-	// borrowed work would run on the caller's thread). Immutable.
+	// lockThreads records WithOSThreads: each worker runs on its own
+	// locked OS thread, so Run never borrows an identity (the borrowed
+	// work would run on the caller's thread). Immutable.
 	lockThreads bool
 
 	loopsMu sync.Mutex // serializes Register/Unregister, snapshot reuse and LiveLoops
@@ -418,19 +415,14 @@ func NewPool(p int, seed uint64) *Pool {
 	return newPool(p, seed, false, nil)
 }
 
-// NewPoolLocked is NewPool with each worker goroutine locked to its own
-// OS thread (runtime.LockOSThread). On dedicated multicore machines this
-// keeps the Go scheduler from migrating workers between threads, which
-// matters when the OS pins threads to cores — the setup under which the
-// paper's locality results apply.
-func NewPoolLocked(p int, seed uint64) *Pool {
-	return newPool(p, seed, true, nil)
-}
-
 // NewPoolPlaced is the placement-aware constructor: pl maps workers to
 // sockets and both steal paths sweep hierarchically (own socket first,
 // larger cross-socket range transfers). A nil placement is the flat
-// default, identical to NewPool/NewPoolLocked.
+// default. lockThreads locks each worker goroutine to its own OS thread
+// (runtime.LockOSThread); on dedicated multicore machines this keeps the
+// Go scheduler from migrating workers between threads, which matters when
+// the OS pins threads to cores — the setup under which the paper's
+// locality results apply.
 func NewPoolPlaced(p int, seed uint64, lockThreads bool, pl *Placement) *Pool {
 	return newPool(p, seed, lockThreads, pl)
 }
@@ -528,22 +520,11 @@ func (p *Pool) SetTimeAccounting(on bool) { p.timeAcct.Store(on) }
 func (p *Pool) TimeAccounting() bool { return p.timeAcct.Load() }
 
 // Stats returns aggregate scheduler counters.
-func (p *Pool) Stats() Stats { return p.stats(true) }
-
-// Totals is Stats without the per-worker busy and idle times, which it
-// leaves nil, and so allocates nothing.
 //
 //sched:noalloc
-func (p *Pool) Totals() Stats { return p.stats(false) }
-
-//sched:noalloc
-func (p *Pool) stats(perWorker bool) Stats {
+func (p *Pool) Stats() Stats {
 	var s Stats
-	if perWorker {
-		//lint:ignore noalloc Stats' per-worker slices; Totals leaves them nil
-		s.WorkerBusyNanos, s.WorkerIdleNanos = make([]int64, len(p.workers)), make([]int64, len(p.workers))
-	}
-	for i, w := range p.workers {
+	for _, w := range p.workers {
 		s.Tasks += w.tasks.Load()
 		s.Steals += w.steals.Load()
 		s.FailedSteals += w.failedSteals.Load()
@@ -552,12 +533,8 @@ func (p *Pool) stats(perWorker bool) Stats {
 		s.RemoteSteals += w.remoteSteals.Load()
 		s.RemoteRangeSteals += w.remoteRangeSteals.Load()
 		s.Parks += w.parks.Load()
-		busy, idle := w.busyNanos.Load(), w.idleNanos.Load()
-		s.BusyNanos += busy
-		s.IdleNanos += idle
-		if perWorker {
-			s.WorkerBusyNanos[i], s.WorkerIdleNanos[i] = busy, idle
-		}
+		s.BusyNanos += w.busyNanos.Load()
+		s.IdleNanos += w.idleNanos.Load()
 	}
 	return s
 }

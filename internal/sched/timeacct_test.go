@@ -47,11 +47,13 @@ func TestTimeAccountingCounters(t *testing.T) {
 	// and wakes nobody, so pin a no-op on every other worker instead.
 	time.Sleep(20 * time.Millisecond)
 	pokeAll(p)
+	// A worker folds its busy burst when it parks, after its spin: with
+	// every worker parked, Stats and PerWorker read the same counters.
+	waitIdle(t, p)
 
-	s := p.Stats()
-	if len(s.WorkerBusyNanos) != 4 || len(s.WorkerIdleNanos) != 4 {
-		t.Fatalf("per-worker slices sized %d/%d, want 4/4",
-			len(s.WorkerBusyNanos), len(s.WorkerIdleNanos))
+	s, per := p.Stats(), p.PerWorker()
+	if len(per) != 4 {
+		t.Fatalf("PerWorker has %d rows, want 4", len(per))
 	}
 	if s.BusyNanos <= 0 {
 		t.Fatalf("64 sleeping tasks ran (%d) but BusyNanos = %d", ran.Load(), s.BusyNanos)
@@ -67,16 +69,13 @@ func TestTimeAccountingCounters(t *testing.T) {
 		t.Fatalf("workers parked between runs but IdleNanos = %d", s.IdleNanos)
 	}
 	var sum int64
-	for _, b := range s.WorkerBusyNanos {
-		sum += b
+	for _, c := range per {
+		sum += c.BusyNanos
 	}
 	if sum != s.BusyNanos {
-		t.Fatalf("BusyNanos %d != sum of WorkerBusyNanos %d", s.BusyNanos, sum)
+		t.Fatalf("BusyNanos %d != sum of PerWorker BusyNanos %d", s.BusyNanos, sum)
 	}
 
-	// A worker folds its busy burst when it parks, after its spin: let
-	// the poked workers park so no fold lands after the reset.
-	waitIdle(t, p)
 	p.ResetStats()
 	s = p.Stats()
 	if s.BusyNanos != 0 || s.IdleNanos != 0 {
@@ -124,14 +123,14 @@ func TestTimeAccountingBorrowed(t *testing.T) {
 		time.Sleep(lent)
 	})
 	ran := time.Since(t0)
-	if busy := time.Duration(p.Stats().WorkerBusyNanos[id]); busy < lent {
+	if busy := time.Duration(p.PerWorker()[id].BusyNanos); busy < lent {
 		t.Errorf("worker %d busy %v after a %v borrowed run, want at least %v", id, busy, ran, lent)
 	}
 	// Close wakes the displaced goroutine, which folds its parked interval.
 	time.Sleep(5 * time.Millisecond)
 	p.Close()
 	total := time.Since(start)
-	idle := time.Duration(p.Stats().WorkerIdleNanos[id])
+	idle := time.Duration(p.PerWorker()[id].IdleNanos)
 	if idle <= 0 || idle > total-lent {
 		t.Errorf("worker %d idle %v over %v with %v lent, want in (0, %v]", id, idle, total, ran, total-lent)
 	}
