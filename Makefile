@@ -70,10 +70,12 @@ golden-regen:
 	$(GO) test -count=1 -run TestGolden $(GOLDEN_PKGS)
 
 ## repro: regenerate the paper-reproduction artifacts under out/
-## (untracked; see EXPERIMENTS.md for the committed summary)
+## (untracked; see EXPERIMENTS.md for the committed summary); fails when
+## paperrepro does (a kernel that fails its check), not only when tee does
 repro:
 	mkdir -p out
-	$(GO) run ./cmd/paperrepro -html out/report.html | tee out/paperrepro_output.txt
+	{ $(GO) run ./cmd/paperrepro -html out/report.html; echo $$? > out/paperrepro_status; } | tee out/paperrepro_output.txt
+	@exit $$(cat out/paperrepro_status)
 
 ## repobench: run the repository benchmark (BENCHMARK.json), the repo's
 ## one performance measurement — one workload with WORKLOAD=<name>, else

@@ -446,22 +446,42 @@ func (p *Pool) ForWorker(begin, end int, body BodyW, opts ...ForOption) {
 }
 
 // ForWorkerNested runs a worker-aware nested loop from inside a task
-// executing on w.
+// executing on w. Like every loop, it runs on a recycled frame, inline on
+// w, and allocates nothing.
+//
+//sched:noalloc
 func ForWorkerNested(w *Worker, begin, end int, body BodyW, opts ...ForOption) {
-	o := loop.Options{Strategy: Hybrid}
-	for _, fn := range opts {
-		fn(&o)
+	if end <= begin {
+		return
 	}
-	loop.WorkerForW(w, begin, end, body, o)
+	nested(w, opts).ForW(begin, end, body)
 }
 
-// For runs a nested parallel loop from inside a task executing on w.
+// For runs a nested parallel loop from inside a task executing on w, as
+// ForWorkerNested does.
+//
+//sched:noalloc
 func For(w *Worker, begin, end int, body Body, opts ...ForOption) {
-	o := loop.Options{Strategy: Hybrid}
-	for _, fn := range opts {
-		fn(&o)
+	if end <= begin {
+		return
 	}
-	loop.WorkerFor(w, begin, end, body, o)
+	nested(w, opts).For(begin, end, body)
+}
+
+// nested takes a recycled frame for a nested loop on w and applies opts
+// to its options in place, over the Hybrid default, as start does for a
+// root loop. A nested loop has no pool defaults and no tuner, so Auto
+// runs Hybrid.
+//
+//sched:noalloc
+func nested(w *Worker, opts []ForOption) loop.Root {
+	r := loop.AcquireOn(w)
+	o := r.Options()
+	o.Strategy = Hybrid
+	for _, fn := range opts {
+		fn(o)
+	}
+	return r
 }
 
 // DefaultChunk exposes the paper's chunk rule min(2048, N/(8P)).

@@ -254,11 +254,14 @@ func TestHeldFrameThiefLast(t *testing.T) {
 }
 
 // TestLaunchAllocations pins the steady-state allocations of each public
-// loop entry, with a hybrid loop of 256 chunks, at zero. A root loop runs
-// on a recycled frame, and everything it used to allocate lives there:
-// descriptor, partition set, range slots, token, the options the
+// loop entry, with a loop of 256 chunks, at zero. Every loop, root or
+// nested, runs on a recycled frame, and everything it used to allocate
+// lives there: descriptor, partition set, range slots, a team strategy's
+// group, counter, parts and member task, token, the options the
 // ForOptions are applied to, the adapters over each body form, Sum's block
-// sums and an observed Auto play's feedback. Pool.For is the exception:
+// sums and an observed Auto play's feedback. A nested loop runs inline on
+// the worker of the task that starts it, here a Run's root bound once.
+// Pool.For is the exception:
 // it still builds its options on the heap, one allocation (see For). The
 // registry reuses its snapshots, a metrics-on pool reads its series
 // handles from a cache, and a gated call releases its slot through a
@@ -298,6 +301,18 @@ func TestLaunchAllocations(t *testing.T) {
 	chunk := hybridloop.WithChunk(64)
 	prio := hybridloop.WithPriority(8)
 	auto := hybridloop.WithAuto()
+	static := hybridloop.WithStrategy(hybridloop.Static)
+	sharing := hybridloop.WithStrategy(hybridloop.DynamicSharing)
+	guided := hybridloop.WithStrategy(hybridloop.Guided)
+	bodyW := func(_ *hybridloop.Worker, lo, hi int) { body(lo, hi) }
+	nestedFor := func(opts ...hybridloop.ForOption) func() {
+		root := func(w *hybridloop.Worker) { hybridloop.For(w, 0, 1<<14, body, opts...) }
+		return func() { pool.Run(root) }
+	}
+	nestedForWorker := func(opts ...hybridloop.ForOption) func() {
+		root := func(w *hybridloop.Worker) { hybridloop.ForWorkerNested(w, 0, 1<<14, bodyW, opts...) }
+		return func() { pool.Run(root) }
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sumAuto := func() { _ = hybridloop.Sum(served, 0, 1<<14, item, prio, auto) }
@@ -331,6 +346,13 @@ func TestLaunchAllocations(t *testing.T) {
 		{"ForEachErr", 0, false, func() { _ = pool.ForEachErr(0, 1<<14, eachErr, chunk) }},
 		{"ForCtx", 0, false, func() { _ = pool.ForCtx(ctx, 0, 1<<14, body, chunk) }},
 		{"Sum", 0, false, func() { _ = hybridloop.Sum(pool, 0, 1<<14, item) }},
+		{"Static ForEach", 0, false, func() { pool.ForEach(0, 1<<14, each, static) }},
+		{"DynamicSharing ForEach", 0, false, func() { pool.ForEach(0, 1<<14, each, sharing, chunk) }},
+		{"Guided ForEach", 0, false, func() { pool.ForEach(0, 1<<14, each, guided, chunk) }},
+		{"nested For", 0, false, nestedFor(chunk)},
+		{"nested ForWorkerNested", 0, false, nestedForWorker(chunk)},
+		{"nested Guided For", 0, false, nestedFor(guided, chunk)},
+		{"nested Guided ForWorkerNested", 0, false, nestedForWorker(guided, chunk)},
 		{"For with metrics", 1, false, func() { metered.For(0, 1<<14, body, chunk) }},
 		// A cut-short loop boxes its error and recycles its frame with a
 		// fresh token.

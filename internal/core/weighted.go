@@ -18,8 +18,17 @@ func WeightedSplit(r Range, n int, weight func(i int) float64) []Range {
 	if n <= 0 {
 		panic("core: WeightedSplit with n <= 0")
 	}
+	out := make([]Range, n)
+	WeightedSplitInto(r, out, weight)
+	return out
+}
+
+// WeightedSplitInto is WeightedSplit into caller-owned storage, len(out)
+// sub-ranges.
+func WeightedSplitInto(r Range, out []Range, weight func(i int) float64) {
 	if weight == nil {
-		return r.Split(n)
+		r.splitInto(out)
+		return
 	}
 	total := 0.0
 	for i := r.Begin; i < r.End; i++ {
@@ -30,9 +39,10 @@ func WeightedSplit(r Range, n int, weight func(i int) float64) []Range {
 		total += w
 	}
 	if total <= 0 {
-		return r.Split(n)
+		r.splitInto(out)
+		return
 	}
-	out := make([]Range, n)
+	n := len(out)
 	begin := r.Begin
 	acc := 0.0
 	i := r.Begin
@@ -47,7 +57,6 @@ func WeightedSplit(r Range, n int, weight func(i int) float64) []Range {
 	}
 	// The last partition absorbs everything that remains.
 	out[n-1] = Range{begin, r.End}
-	return out
 }
 
 // NewPartitionSetParts builds a PartitionSet over explicit partition

@@ -44,13 +44,14 @@ func spin(units int, seed float64) float64 {
 // AutoResult is one workload's row of the ablation.
 type AutoResult struct {
 	Workload string
-	// FixedNs maps each fixed strategy's display name to its mean ns/op.
+	// FixedNs maps each fixed strategy's display name to its median
+	// ns/iter over the second half of its invocations, past warmup.
 	FixedNs map[string]float64
 	// BestFixed / BestNs identify the cheapest fixed strategy.
 	BestFixed string
 	BestNs    float64
-	// AutoNs is Auto's converged cost: the mean over the last quarter of
-	// its invocations, after exploration has settled.
+	// AutoNs is Auto's converged cost: the median over the last quarter
+	// of its invocations, after exploration has settled.
 	AutoNs float64
 	// AutoChoice names the configuration Auto committed to ("hybrid",
 	// "vanilla x4 chunk", "serial", ... or "exploring" if it never
@@ -103,9 +104,9 @@ func (a AutoAblation) Run() []AutoResult {
 			pool := hybridloop.NewPool(a.Workers, hybridloop.WithSeed(a.Seed))
 			samples := timeLoop(pool, wl.N, body, reps, hybridloop.WithStrategy(s))
 			pool.Close()
-			// Mean of the second half: past cache warmup, same window
-			// length as Auto's convergence window.
-			ns := mean(samples[len(samples)/2:])
+			// Median of the second half: past cache warmup, and one
+			// disturbed invocation cannot move it.
+			ns := median(samples[len(samples)/2:])
 			res.FixedNs[s.String()] = ns
 			if res.BestFixed == "" || ns < res.BestNs {
 				res.BestFixed, res.BestNs = s.String(), ns
@@ -113,7 +114,7 @@ func (a AutoAblation) Run() []AutoResult {
 		}
 		pool := hybridloop.NewPool(a.Workers, hybridloop.WithSeed(a.Seed))
 		samples := timeLoop(pool, wl.N, body, reps, hybridloop.WithAuto())
-		res.AutoNs = mean(samples[len(samples)*3/4:])
+		res.AutoNs = median(samples[len(samples)*3/4:])
 		res.AutoChoice = committedChoice(pool.TunerSites())
 		pool.Close()
 		res.VsBestPct = (res.AutoNs/res.BestNs - 1) * 100
@@ -134,15 +135,14 @@ func timeLoop(pool *hybridloop.Pool, n int, body hybridloop.Body, reps int, opts
 	return samples
 }
 
-func mean(xs []float64) float64 {
+// median returns the median of xs, sorting xs in place.
+func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
+	sort.Float64s(xs)
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
 }
 
 // committedChoice renders the configuration the tuner committed to for
@@ -184,7 +184,7 @@ func RenderAutoResults(w io.Writer, results []AutoResult) {
 	}
 	sort.Strings(fixed)
 	t := Table{
-		Title:  "Auto vs fixed strategies (ns/iter; auto = converged mean of last quarter)",
+		Title:  "Auto vs fixed strategies (ns/iter; fixed = median of second half, auto = converged median of last quarter)",
 		Header: append(append([]string{"workload"}, fixed...), "auto", "auto choice", "vs best"),
 	}
 	for _, r := range results {

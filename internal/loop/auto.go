@@ -50,8 +50,8 @@ type paddedNanos struct {
 // invObs collects one observed Auto play's feedback: executed chunks and
 // per-worker busy time, from which finish derives the imbalance signal
 // (max − min busy time over participating workers), and the decision and
-// counters it reports against. A root loop's lives in its frame and is
-// reset per play; a nested loop allocates its own.
+// counters it reports against. It lives in the loop's frame and is reset
+// per play.
 type invObs struct {
 	start  time.Time
 	chunks atomic.Int64
@@ -66,28 +66,6 @@ func (o *invObs) runTimed(w *sched.Worker, body BodyW, lo, hi int) {
 	body(w, lo, hi)
 	o.busy[w.ID()].nanos.Add(time.Since(t0).Nanoseconds())
 	o.chunks.Add(1)
-}
-
-// observer returns the feedback record of an observed play on a pool of
-// p workers, reset: the frame's for a root loop, a new one otherwise.
-//
-//sched:noalloc
-func (o *Options) observer(p int) *invObs {
-	f := o.frame
-	if f == nil {
-		//lint:ignore noalloc a nested loop has no frame
-		return &invObs{busy: make([]paddedNanos, p)}
-	}
-	obs := &f.obs
-	if len(obs.busy) != p {
-		//lint:ignore noalloc once per frame: the busy slots of its pool's workers
-		obs.busy = make([]paddedNanos, p)
-	}
-	for i := range obs.busy {
-		obs.busy[i].nanos.Store(0)
-	}
-	obs.chunks.Store(0)
-	return obs
 }
 
 // beginAuto consults the tuner and rewrites opts in place with the
@@ -129,7 +107,15 @@ func beginAuto(w *sched.Worker, begin, end int, opts *Options) *invObs {
 		// the committed configuration with zero observation overhead.
 		return nil
 	}
-	o := opts.observer(pool.P())
+	o := &opts.frame.obs
+	if len(o.busy) != pool.P() {
+		//lint:ignore noalloc once per frame: the busy slots of its pool's workers
+		o.busy = make([]paddedNanos, pool.P())
+	}
+	for i := range o.busy {
+		o.busy[i].nanos.Store(0)
+	}
+	o.chunks.Store(0)
 	o.d, o.n = d, n
 	o.before = pool.Stats()
 	o.start = time.Now()

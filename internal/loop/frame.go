@@ -2,31 +2,36 @@ package loop
 
 import (
 	"context"
+	"sync/atomic"
 
 	"hybridloop/internal/core"
 	"hybridloop/internal/sched"
 )
 
-// frame is the recycled scratch of a root loop, one started from outside
-// the pool: everything such a loop used to allocate per call, the options
-// its caller's ForOptions are applied to among them. A frame runs one loop
-// at a time. Frames are recycled through a free list per pool
-// (sched.TakeFrame), the way sched recycles its Run frames. Nested loops,
-// started from inside a task, allocate their own descriptor, partition
-// set and token.
+// frame is the recycled scratch of a loop: everything a loop used to
+// allocate per call, the options its caller's ForOptions are applied to
+// among them. Every loop runs on one, a root loop (started from outside
+// the pool) and a nested loop (started by a task, which runs it inline on
+// its worker) alike. A frame runs one loop at a time. Frames are recycled
+// through a free list per pool (sched.TakeFrame), the way sched recycles
+// its Run frames.
 //
-// Lifecycle: Acquire, write the options in place, run the pre-bound root
-// through one of Root's methods, release. A frame is handed out again
-// only when nothing can still reach it:
+// Lifecycle: Acquire (AcquireOn for a nested loop), write the options in
+// place, run the pre-bound root through one of Root's methods, release. A
+// frame is handed out again only when nothing can still reach it:
 //
-//   - every participant of the loop joined its group before Run returned,
-//     except idle workers that reached the descriptor through a registry
-//     probe. UnregisterLoop reports whether one may still hold it (h.held);
-//     such a frame goes back to the free list all the same, and waits
-//     there: every acquire that meets it asks the pool again (LoopHeld,
-//     which on a solo pool waits up to the scheduler's spin bound for the
-//     probe to leave) and passes it over while it is held;
-//   - no body panicked: Run then panics past release.
+//   - every participant of the loop joined its group before the loop
+//     returned, except idle workers that reached the descriptor through a
+//     registry probe. UnregisterLoop reports whether one may still hold it
+//     (h.held); such a frame goes back to the free list all the same, and
+//     waits there: every acquire that meets it asks the pool again
+//     (LoopHeld, which on a solo pool waits up to the scheduler's spin
+//     bound for the probe to leave) and passes it over while it is held.
+//     A nested acquire runs inside a Run, where LoopHeld scans once: the
+//     probe that holds the frame may be the calling worker's own, held
+//     while it runs the body that starts the nested loop, and waiting on
+//     it would only stall the caller;
+//   - no body panicked: the loop then panics past release.
 //
 // A frame whose loop panicked is left to the collector. One that finds
 // the free list's slots full goes to its overflow, which a collection
@@ -44,7 +49,7 @@ type frame struct {
 	opts       Options
 	pool       *sched.Pool
 
-	// The body forms the root entries accept, each called by a pre-bound
+	// The body forms the loop entries accept, each called by a pre-bound
 	// adapter of its own; a loop sets one of them.
 	plain    Body                   // For's and ForCtx's body, which adapt calls
 	each     func(i int)            // ForEach's body, which adaptEach calls
@@ -64,9 +69,18 @@ type frame struct {
 	obs    invObs                // an observed Auto play's feedback
 	h      hybridLoop
 	ps     *core.PartitionSet // h.ps for an unweighted hybrid loop, reset per loop
+
+	// A team loop's state (see teamRun): the group its members join, the
+	// counter DynamicSharing and Guided grab from, Static's parts, the
+	// chunk, and the member task pinned to every other worker.
+	team   sched.Group
+	next   atomic.Int64
+	parts  []core.Range
+	chunk  int
+	member sched.Task
 }
 
-// newFrame builds a frame and binds its adapters and root.
+// newFrame builds a frame and binds its adapters, root and team task.
 func newFrame() *frame {
 	f := &frame{cancel: new(sched.Canceller)}
 	f.adapt = func(_ *sched.Worker, lo, hi int) { f.plain(lo, hi) }
@@ -94,6 +108,7 @@ func newFrame() *frame {
 		}
 	}
 	f.root = func(w *sched.Worker) { workerForW(w, f.begin, f.end, f.body, &f.opts) }
+	f.member = func(w *sched.Worker) { f.teamMember(w) }
 	return f
 }
 
@@ -107,11 +122,14 @@ func (f *frame) fail(w *sched.Worker, err error) {
 	}
 }
 
-// Root is a root loop about to start on a recycled frame. Acquire takes
-// the frame, the caller writes the loop's options in place through
+// Root is a loop about to start on a recycled frame. Acquire (AcquireOn)
+// takes the frame, the caller writes the loop's options in place through
 // Options, and one run method starts the loop, waits for it and recycles
 // the frame. A Root serves exactly one loop.
-type Root struct{ f *frame }
+type Root struct {
+	f *frame
+	w *sched.Worker // the worker a nested loop runs on; nil for a root loop
+}
 
 // Acquire takes a frame from pool's free list, passing over any that a
 // probe still holds, or builds one, and returns it with zero options. A
@@ -128,7 +146,17 @@ func Acquire(pool *sched.Pool) Root {
 		f.pool = pool
 	}
 	f.opts.frame = f // release and reusable leave the options zero
-	return Root{f}
+	return Root{f: f}
+}
+
+// AcquireOn is Acquire for a nested loop, started by a task running on w:
+// the loop runs inline on w, in place of a Run.
+//
+//sched:noalloc
+func AcquireOn(w *sched.Worker) Root {
+	r := Acquire(w.Pool())
+	r.w = w
+	return r
 }
 
 // reusable reports whether no probe still holds f. A frame that was held
@@ -162,7 +190,7 @@ func (r Root) Options() *Options { return &r.f.opts }
 func (r Root) For(begin, end int, body Body) {
 	f := r.f
 	f.plain = body
-	f.run(nil, begin, end, f.adapt)
+	r.run(nil, begin, end, f.adapt)
 	f.release()
 }
 
@@ -172,7 +200,7 @@ func (r Root) For(begin, end int, body Body) {
 func (r Root) ForEach(begin, end int, body func(i int)) {
 	f := r.f
 	f.each = body
-	f.run(nil, begin, end, f.adaptEach)
+	r.run(nil, begin, end, f.adaptEach)
 	f.release()
 }
 
@@ -181,7 +209,7 @@ func (r Root) ForEach(begin, end int, body func(i int)) {
 //sched:noalloc
 func (r Root) ForW(begin, end int, body BodyW) {
 	f := r.f
-	f.run(nil, begin, end, body)
+	r.run(nil, begin, end, body)
 	f.release()
 }
 
@@ -193,7 +221,7 @@ func (r Root) ForErr(begin, end int, body func(lo, hi int) error) error {
 	f := r.f
 	f.fallible = body
 	f.opts.Cancel = f.cancel
-	err := f.run(nil, begin, end, f.adaptErr)
+	err := r.run(nil, begin, end, f.adaptErr)
 	f.release()
 	return err
 }
@@ -206,7 +234,7 @@ func (r Root) ForEachErr(begin, end int, body func(i int) error) error {
 	f := r.f
 	f.eachErr = body
 	f.opts.Cancel = f.cancel
-	err := f.run(nil, begin, end, f.adaptEachErr)
+	err := r.run(nil, begin, end, f.adaptEachErr)
 	f.release()
 	return err
 }
@@ -220,7 +248,7 @@ func (r Root) ForCtx(ctx context.Context, begin, end int, body Body) error {
 	f := r.f
 	f.plain = body
 	f.opts.Cancel = f.cancel
-	err := f.run(ctx, begin, end, f.adapt)
+	err := r.run(ctx, begin, end, f.adapt)
 	f.release()
 	return err
 }
@@ -240,7 +268,7 @@ func (r Root) Sum(begin, end int, item func(i int) float64) float64 {
 	}
 	f.sums = f.sums[:nb]
 	f.item, f.base, f.limit = item, begin, end
-	f.run(nil, 0, nb, f.adaptSum)
+	r.run(nil, 0, nb, f.adaptSum)
 	acc := 0.0
 	for _, s := range f.sums {
 		acc += s
@@ -274,15 +302,21 @@ func SerialSum(begin, end int, item func(i int) float64) float64 {
 	return acc
 }
 
-// run executes one root loop on f, with its token watching ctx (nil for
-// none), and returns the error the loop's token was cancelled with, if
-// any. The caller reads what it needs from f, then releases it.
+// run executes the loop on r's frame, with its token watching ctx (nil
+// for none), and returns the error the loop's token was cancelled with, if
+// any: a root loop through a Run, a nested one inline on its worker. The
+// caller reads what it needs from the frame, then releases it.
 //
 //sched:noalloc
-func (f *frame) run(ctx context.Context, begin, end int, body BodyW) error {
+func (r Root) run(ctx context.Context, begin, end int, body BodyW) error {
+	f := r.f
 	f.begin, f.end, f.body = begin, end, body
 	f.cancel.Watch(ctx)
-	f.pool.RunWeighted(f.root, f.opts.Priority)
+	if r.w != nil {
+		f.root(r.w)
+	} else {
+		f.pool.RunWeighted(f.root, f.opts.Priority)
+	}
 	return f.opts.Cancel.Err()
 }
 
@@ -310,53 +344,38 @@ func (f *frame) release() {
 const maxKeptSums = 256
 
 // reset makes f ready for its next loop once no probe can reach the last
-// one: it drops the caller's bodies and options, stops the token watching
+// one: it drops the caller's bodies, options and tokens, stops the token watching
 // the last loop's context, and gives up block sums above maxKeptSums.
 //
 //sched:noalloc
 func (f *frame) reset() {
 	f.body, f.plain, f.each, f.fallible, f.eachErr, f.item, f.h.rs.body = nil, nil, nil, nil, nil, nil, nil
 	f.cancel.Watch(nil)
+	f.h.g.BindCancel(nil)
+	f.team.BindCancel(nil)
 	f.opts = Options{}
 	if cap(f.sums) > maxKeptSums {
 		f.sums = nil
 	}
 }
 
-// start takes a frame for a loop with the given options.
+// start writes a loop's options into r's frame.
 //
 //sched:noalloc
-func start(pool *sched.Pool, opts *Options) Root {
-	r := Acquire(pool)
+func start(r Root, opts *Options) Root {
 	r.f.opts = *opts
 	r.f.opts.frame = r.f
 	return r
 }
 
-// descriptor returns the loop's registry descriptor: the frame's for a
-// root loop, a new one for a nested loop.
-//
-//sched:noalloc
-func (o *Options) descriptor() *hybridLoop {
-	if o.frame != nil {
-		return &o.frame.h
-	}
-	//lint:ignore noalloc a nested loop has no frame
-	return &hybridLoop{}
-}
-
 // partitions returns the hybrid loop's partition set over [begin, end)
 // with R = NextPow2(p): the frame's, reset in place, for an unweighted
-// root loop; a new one otherwise.
+// loop; a new one for a weighted loop.
 //
 //sched:noalloc
-func (o *Options) partitions(begin, end, p int) *core.PartitionSet {
-	if o.Weight != nil {
-		return core.NewPartitionSetParts(o.split(begin, end, core.NextPow2(p)))
-	}
-	f := o.frame
-	if f == nil {
-		return core.NewPartitionSet(begin, end, p)
+func (f *frame) partitions(begin, end, p int) *core.PartitionSet {
+	if w := f.opts.Weight; w != nil {
+		return core.NewPartitionSetParts(core.WeightedSplit(core.Range{Begin: begin, End: end}, core.NextPow2(p), w))
 	}
 	if f.ps == nil || f.ps.R() != core.NextPow2(p) {
 		f.ps = core.NewPartitionSet(begin, end, p)

@@ -32,7 +32,7 @@ func listed(pool *sched.Pool) []*frame {
 
 // forOn runs For through Acquire and returns the frame the loop ran on.
 func forOn(pool *sched.Pool, begin, end int, body Body, opts Options) *frame {
-	r := start(pool, &opts)
+	r := start(Acquire(pool), &opts)
 	r.For(begin, end, body)
 	return r.f
 }
@@ -95,13 +95,13 @@ func TestFrameRecyclingStress(t *testing.T) {
 			plain = forOn(pool, 0, n, body, opts)
 		case 1:
 			if i%8 == 5 {
-				err := ForErr(pool, 0, n, func(lo, hi int) error {
+				err := start(Acquire(pool), &opts).ForErr(0, n, func(lo, hi int) error {
 					body(lo, hi)
 					if lo <= cut && cut < hi {
 						return errStop
 					}
 					return nil
-				}, opts)
+				})
 				if !errors.Is(err, errStop) {
 					t.Fatalf("loop %d: ForErr returned %v, want its body's error", i, err)
 				}
@@ -120,7 +120,7 @@ func TestFrameRecyclingStress(t *testing.T) {
 			}
 		case 2:
 			nestedWant = n / 512 * 64
-			r := start(pool, &opts)
+			r := start(Acquire(pool), &opts)
 			plain = r.f
 			r.ForW(0, n, func(w *sched.Worker, lo, hi int) {
 				body(lo, hi)
@@ -137,7 +137,7 @@ func TestFrameRecyclingStress(t *testing.T) {
 						t.Fatalf("loop %d: body panic not re-raised", i)
 					}
 				}()
-				r := start(pool, &opts)
+				r := start(Acquire(pool), &opts)
 				dead[r.f] = true
 				r.For(0, n, func(lo, hi int) {
 					body(lo, hi)
@@ -212,7 +212,7 @@ func TestHeldFrameIsNotReused(t *testing.T) {
 	nop := func(lo, hi int) {}
 	For(pool, 0, 4096, nop, opts) // fill the free list
 	trap := &trapLoop{entered: make(chan struct{}), release: make(chan struct{})}
-	r := start(pool, &opts)
+	r := start(Acquire(pool), &opts)
 	held := r.f
 	r.ForW(0, 4096, func(w *sched.Worker, lo, hi int) {
 		if lo == 0 {
@@ -236,7 +236,7 @@ func TestHeldFrameIsNotReused(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	r = start(pool, &opts)
+	r = start(Acquire(pool), &opts)
 	if r.f != held {
 		t.Fatal("the held frame did not wait in the free list for its probe to leave")
 	}
@@ -244,6 +244,109 @@ func TestHeldFrameIsNotReused(t *testing.T) {
 		t.Fatal("the held frame reached its next loop still holding the last loop's body")
 	}
 	r.For(0, 4096, nop)
+}
+
+// TestFrameRecyclingNested: nested hybrid loops, started from the chunks
+// of a busy outer hybrid loop on a four-worker pool, run on frames from
+// the same free list as root loops. Every nested loop must tile its range
+// exactly once, every frame in the free list must carry a live token that
+// watches no context, and the thousands of nested loops must have run on
+// a few dozen frames at most. A worker waiting for its nested loop may
+// enter the outer loop through a probe and start another nested loop, so
+// more nested loops than workers can be live at once.
+func TestFrameRecyclingNested(t *testing.T) {
+	const outer, inner, n = 200, 16, 1024
+	pool := sched.NewPool(4, 11)
+	defer pool.Close()
+	var mu sync.Mutex
+	frames := map[*frame]bool{}
+	counts := make([]atomic.Int32, inner*n)
+	nested := Options{Strategy: Hybrid, Chunk: 16}
+	for i := 0; i < outer; i++ {
+		ForW(pool, 0, inner, func(w *sched.Worker, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				r := start(AcquireOn(w), &nested)
+				mu.Lock()
+				frames[r.f] = true
+				mu.Unlock()
+				r.For(0, n, func(l, h int) {
+					for k := l; k < h; k++ {
+						counts[j*n+k].Add(1)
+					}
+				})
+			}
+		}, Options{Strategy: Hybrid, Chunk: 1})
+		for j := range counts {
+			if c := counts[j].Swap(0); c != 1 {
+				t.Fatalf("outer loop %d: nested iteration %d ran %d times", i, j, c)
+			}
+		}
+		for _, f := range listed(pool) {
+			if f.cancel.Err() != nil || f.cancel.Watching() {
+				t.Fatalf("outer loop %d: a frame in the free list carries a used token", i)
+			}
+		}
+	}
+	t.Logf("%d nested loops ran on %d frames", outer*inner, len(frames))
+	if len(frames) > 64 {
+		t.Fatalf("%d nested loops ran on %d frames, want at most 64", outer*inner, len(frames))
+	}
+}
+
+// TestHeldFrameNestedIsNotReused is TestHeldFrameIsNotReused for nested
+// loops: a nested loop whose descriptor a trapped probe still holds when
+// it returns puts its frame back flagged, and a nested loop started while
+// the trap holds must pass that frame over. Inside a Run, LoopHeld scans
+// once rather than waiting for the probe to leave. Once it has left, the
+// next nested loop runs on the frame again.
+func TestHeldFrameNestedIsNotReused(t *testing.T) {
+	pool := sched.NewPool(2, 5)
+	defer pool.Close()
+	opts := Options{Strategy: DynamicStealing, Chunk: 16}
+	nop := func(lo, hi int) {}
+	trap := &trapLoop{entered: make(chan struct{}), release: make(chan struct{})}
+	var held, reused, next *frame
+	flagged := false
+	// The free list starts empty: a frame put back held by a passing probe
+	// would be passed over, not waited for, and the next acquire would
+	// build the frame the test traps.
+	pool.Run(func(w *sched.Worker) {
+		r := start(AcquireOn(w), &opts)
+		held = r.f
+		r.ForW(0, 4096, func(cw *sched.Worker, lo, hi int) {
+			if lo == 0 {
+				trap.owner = cw.ID()
+				pool.RegisterLoopWeighted(trap, 1)
+				<-trap.entered
+			}
+		})
+		flagged = held.h.held
+		r = start(AcquireOn(w), &opts)
+		reused = r.f
+		r.For(0, 4096, nop)
+	})
+	close(trap.release)
+	pool.UnregisterLoop(trap)
+	if !flagged {
+		t.Fatal("UnregisterLoop did not report the nested descriptor held by the trapped probe")
+	}
+	if reused == held {
+		t.Fatal("a nested loop ran on a frame while a probe still held its descriptor")
+	}
+	for deadline := time.Now().Add(10 * time.Second); pool.LoopHeld(&held.h); {
+		if time.Now().After(deadline) {
+			t.Fatal("the trapped probe never released the frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	pool.Run(func(w *sched.Worker) {
+		r := start(AcquireOn(w), &opts)
+		next = r.f
+		r.For(0, 4096, nop)
+	})
+	if next != held {
+		t.Fatal("the held frame did not wait in the free list for its probe to leave")
+	}
 }
 
 // TestFrameDropsLargeSums: a frame keeps the block sums of a Sum of up to
@@ -259,7 +362,7 @@ func TestFrameDropsLargeSums(t *testing.T) {
 		blocks int
 		kept   bool
 	}{{maxKeptSums, true}, {maxKeptSums + 1, false}} {
-		r := start(pool, &opts)
+		r := start(Acquire(pool), &opts)
 		n := c.blocks * SumBlock
 		if got := r.Sum(0, n, one); got != float64(n) {
 			t.Fatalf("Sum over %d blocks = %v, want %d", c.blocks, got, n)
@@ -283,7 +386,7 @@ func TestHeldFrameWatchedTokenIsReplaced(t *testing.T) {
 	For(pool, 0, 4096, func(lo, hi int) {}, opts) // fill the free list
 	trap := &trapLoop{entered: make(chan struct{}), release: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
-	r := start(pool, &opts)
+	r := start(Acquire(pool), &opts)
 	held := r.f
 	err := r.ForCtx(ctx, 0, 4096, func(lo, hi int) {
 		if lo == 0 {
@@ -376,7 +479,7 @@ func TestHeldFrameBriefHoldIsReused(t *testing.T) {
 		blip.entered.Store(false)
 		blip.letGo.Store(false)
 		blip.left.Store(false)
-		r := start(pool, &opts)
+		r := start(Acquire(pool), &opts)
 		r.ForW(0, 4096, func(w *sched.Worker, lo, hi int) {
 			if lo == 0 {
 				blip.owner = w.ID()

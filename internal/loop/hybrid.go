@@ -14,7 +14,7 @@ import (
 // thieves only steal halves of published ranges.
 //
 // The body, options and chunk live in rs alone; h.rs.opts is the loop's
-// options. A root loop's descriptor lives in its recycled frame and serves
+// options. The descriptor lives in the loop's recycled frame and serves
 // one loop after another (see frame).
 type hybridLoop struct {
 	sched.LoopEntry // the registry's record of this loop
@@ -59,8 +59,8 @@ func (h *hybridLoop) unregister(pool *sched.Pool) { h.held = pool.UnregisterLoop
 //sched:noalloc
 func hybridFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	p := w.Pool().P()
-	h := opts.descriptor()
-	h.register(w, opts.partitions(begin, end, p), body, opts, opts.chunk(end-begin, p))
+	h := &opts.frame.h
+	h.register(w, opts.frame.partitions(begin, end, p), body, opts, opts.chunk(end-begin, p))
 	defer h.unregister(w.Pool())
 	h.doHybridLoop(w, false)
 	w.Wait(&h.g)

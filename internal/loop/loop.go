@@ -23,9 +23,7 @@
 package loop
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"hybridloop/internal/adaptive"
@@ -168,16 +166,11 @@ type Options struct {
 	// derive it online. Internal: set from the tuner's chunk-cost estimate
 	// by beginAuto only.
 	pollStride int32
-	// frame is the recycled frame a root loop runs on, whose descriptor,
-	// partition set, token and Auto feedback it uses in place of
-	// allocating its own. Internal: set by Acquire only; nil for nested
-	// loops.
+	// frame is the recycled frame the loop runs on, whose descriptor,
+	// partition set, team state, token and Auto feedback it uses in place
+	// of allocating its own. Internal: set by Acquire for every loop, root
+	// or nested.
 	frame *frame
-}
-
-// split partitions [begin, end) into n ranges honoring the weight hint.
-func (o *Options) split(begin, end, n int) []core.Range {
-	return core.WeightedSplit(core.Range{Begin: begin, End: end}, n, o.Weight)
 }
 
 // DefaultChunk returns the paper's default chunk size min(2048, N/(8P)),
@@ -201,7 +194,7 @@ func (o *Options) chunk(n, p int) int {
 }
 
 // For executes body over [begin, end) on pool using the options' strategy.
-// It must be called from outside the pool; use Worker.For from inside a
+// It must be called from outside the pool; use WorkerFor from inside a
 // running task. The loop runs on a recycled frame (see frame), so in the
 // steady state it allocates nothing.
 //
@@ -210,36 +203,19 @@ func For(pool *sched.Pool, begin, end int, body Body, opts Options) {
 	if end <= begin {
 		return
 	}
-	start(pool, &opts).For(begin, end, body)
+	start(Acquire(pool), &opts).For(begin, end, body)
 }
 
-// ForErr is For with a body that may fail: the first error cancels the
-// loop, waking every parked worker to help drain it, and is returned.
-// The loop's token is its frame's, so this allocates no more than For.
+// WorkerFor is For callable from inside a task running on w (nested
+// loops). The loop runs inline on w, on a recycled frame like a root
+// loop's, so in the steady state it allocates nothing.
 //
 //sched:noalloc
-func ForErr(pool *sched.Pool, begin, end int, body func(lo, hi int) error, opts Options) error {
-	if end <= begin {
-		return nil
-	}
-	return start(pool, &opts).ForErr(begin, end, body)
-}
-
-// ForCtx is For stopped early by ctx: the loop's token watches ctx, so the
-// loop's own polls notice it is done, and ForCtx returns ctx.Err() if the
-// loop was cut short. It allocates no more than For.
-//
-//sched:noalloc
-func ForCtx(pool *sched.Pool, ctx context.Context, begin, end int, body Body, opts Options) error {
-	if end <= begin {
-		return nil
-	}
-	return start(pool, &opts).ForCtx(ctx, begin, end, body)
-}
-
-// WorkerFor is For callable from inside a running task (nested loops).
 func WorkerFor(w *sched.Worker, begin, end int, body Body, opts Options) {
-	WorkerForW(w, begin, end, func(_ *sched.Worker, lo, hi int) { body(lo, hi) }, opts)
+	if end <= begin {
+		return
+	}
+	start(AcquireOn(w), &opts).For(begin, end, body)
 }
 
 // ForW is For with a worker-aware body.
@@ -249,16 +225,22 @@ func ForW(pool *sched.Pool, begin, end int, body BodyW, opts Options) {
 	if end <= begin {
 		return
 	}
-	start(pool, &opts).ForW(begin, end, body)
+	start(Acquire(pool), &opts).ForW(begin, end, body)
 }
 
-// WorkerForW is the worker-aware core all loop forms funnel into.
+// WorkerForW is WorkerFor with a worker-aware body.
+//
+//sched:noalloc
 func WorkerForW(w *sched.Worker, begin, end int, body BodyW, opts Options) {
-	workerForW(w, begin, end, body, &opts)
+	if end <= begin {
+		return
+	}
+	start(AcquireOn(w), &opts).ForW(begin, end, body)
 }
 
-// workerForW is WorkerForW on the invocation's own copy of the options,
-// which it may rewrite (Auto resolution, the default cancel token).
+// workerForW is the core every loop form funnels into, run on the loop's
+// frame with the frame's options, which it may rewrite (Auto resolution,
+// the default cancel token).
 //
 //sched:noalloc
 func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
@@ -298,16 +280,9 @@ func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 		// Every parallel loop gets a token, even without external
 		// cancellation: the Group hook and the recover above route body
 		// panics through it so the other workers stop within one chunk
-		// instead of grinding through the remaining iterations. A root
-		// loop uses its frame's; a nested loop allocates one, after the
-		// serial shortcut, which involves no other workers and stays
-		// allocation-free.
-		if opts.frame != nil {
-			opts.Cancel = opts.frame.cancel
-		} else {
-			//lint:ignore noalloc a nested loop has no frame
-			opts.Cancel = new(sched.Canceller)
-		}
+		// instead of grinding through the remaining iterations. It is the
+		// frame's.
+		opts.Cancel = opts.frame.cancel
 	} else if opts.Cancel.Cancelled() {
 		// Already cancelled (a context that expired before the loop
 		// started, or a nested loop under a tripped outer token): run
@@ -315,14 +290,10 @@ func workerForW(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 		return
 	}
 	switch opts.Strategy {
-	case Static:
-		staticFor(w, begin, end, body, opts)
+	case Static, DynamicSharing, Guided:
+		teamRun(w, begin, end, opts)
 	case DynamicStealing:
 		stealingFor(w, begin, end, body, opts)
-	case DynamicSharing:
-		sharingFor(w, begin, end, body, opts)
-	case Guided:
-		guidedFor(w, begin, end, body, opts)
 	case Hybrid:
 		hybridFor(w, begin, end, body, opts)
 	default:
@@ -365,31 +336,6 @@ func execChunk(w *sched.Worker, body BodyW, opts *Options, lo, hi int) {
 	body(w, lo, hi)
 }
 
-// staticFor pins partition i to worker i. The calling worker executes its
-// own partition inline (it "arrives at the region" first), the others are
-// pinned tasks.
-func staticFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
-	p := w.Pool().P()
-	parts := opts.split(begin, end, p)
-	var g sched.Group
-	g.BindCancel(opts.Cancel)
-	for i := 0; i < p; i++ {
-		if i == w.ID() || parts[i].Empty() {
-			continue
-		}
-		part := parts[i]
-		w.Pool().SpawnOn(i, &g, func(cw *sched.Worker) {
-			runChunk(cw, body, opts, part.Begin, part.End)
-		})
-	}
-	// Protected, as every share is: a panicking body is re-raised by the
-	// Wait, after the pinned partitions have finished.
-	if mine := parts[w.ID()]; !mine.Empty() {
-		g.Protect(func() { runChunk(w, body, opts, mine.Begin, mine.End) })
-	}
-	w.Wait(&g)
-}
-
 // stealingFor is the cilk_for strategy, lowered lazily: instead of
 // eagerly spawning the binary tree of lg(n/chunk) range splits into the
 // deque, the initiating worker publishes its remaining range in a
@@ -406,7 +352,7 @@ func stealingFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 		runChunk(w, body, opts, begin, end)
 		return
 	}
-	h := opts.descriptor()
+	h := &opts.frame.h
 	h.register(w, nil, body, opts, chunk)
 	// Unregister even if Wait re-raises a body panic, so the registry never
 	// holds a dead loop.
@@ -419,131 +365,152 @@ func stealingFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
 	w.Wait(&h.g)
 }
 
-// sharingFor is OpenMP schedule(dynamic, chunk): every worker joins the
-// team and repeatedly grabs fixed-size chunks from a shared counter. The
-// cancel and inject polls run once per poll stride of grabs rather than
-// per grab (see pacer.go); each team worker derives its stride from its
-// own first chunk when the tuner gave no estimate.
-func sharingFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
-	chunk := opts.chunk(end-begin, w.Pool().P())
-	var next atomic.Int64
-	next.Store(int64(begin))
-	grab := func(cw *sched.Worker) {
-		pool := cw.Pool()
-		stride := opts.pollStride
-		countdown := stride
-		polls := 0 // this worker's ServeInjected count
-		if opts.Cancel.Cancelled() {
-			// Cancelled before this worker's first grab: poison the shared
-			// counter so teammates between polls observe an exhausted loop
-			// on their next grab; the first worker through records the
-			// abandoned tail.
-			if old := next.Swap(int64(end)); int(old) < end && opts.Trace != nil {
-				opts.Trace.Add(cw.ID(), trace.Cancel, old, int64(end))
-			}
-			return
+// teamRun runs a team strategy on the loop's frame, the OpenMP "parallel
+// region" model: the frame's member task is pinned to every other worker,
+// and the calling worker runs its own member inline, so every team
+// member runs the strategy's scheduling loop itself (teamMember). Static
+// pins no member to a worker whose part is empty. The loop's range and
+// body are the frame's, which run set.
+//
+//sched:noalloc
+func teamRun(w *sched.Worker, begin, end int, opts *Options) {
+	f := opts.frame
+	pool := w.Pool()
+	p := pool.P()
+	if opts.Strategy == Static {
+		if len(f.parts) != p {
+			//lint:ignore noalloc once per frame: a part per worker of its pool
+			f.parts = make([]core.Range, p)
 		}
-		for {
-			lo := int(next.Add(int64(chunk))) - chunk
-			if lo >= end {
-				return
-			}
-			hi := lo + chunk
-			if hi > end {
-				hi = end
-			}
-			if stride == 0 {
-				t0 := time.Now()
-				execChunk(cw, body, opts, lo, hi)
-				stride = pollStrideFor(time.Since(t0).Nanoseconds())
-				countdown = stride
-			} else {
-				execChunk(cw, body, opts, lo, hi)
-			}
-			if countdown--; countdown > 0 {
-				continue
-			}
-			countdown = stride
-			if opts.Cancel.Cancelled() {
-				if old := next.Swap(int64(end)); int(old) < end && opts.Trace != nil {
-					opts.Trace.Add(cw.ID(), trace.Cancel, old, int64(end))
-				}
-				return
-			}
-			// Cross-loop latency fairness, as in rangeSet.runOwned: a team
-			// worker grinding a long shared counter serves pending
-			// submissions between windows.
-			if pool.InjectPending() {
-				polls = pool.ServeInjected(cw, opts.Priority, polls)
-			}
-		}
+		core.WeightedSplitInto(core.Range{Begin: begin, End: end}, f.parts, opts.Weight)
+	} else {
+		f.chunk = opts.chunk(end-begin, p)
+		f.next.Store(int64(begin))
 	}
-	teamRun(w, opts, grab)
-}
-
-// guidedFor is OpenMP schedule(guided, chunk): chunks shrink in proportion
-// to the remaining iterations divided by the team size, never below the
-// minimum chunk. The shared position advances under CAS so chunk sizing
-// and claiming are atomic together. Guided keeps its per-grab polls
-// instead of the pacer's stride: the grab sizes decrease geometrically
-// from remaining/2P, so early polls are amortized over huge chunks by
-// construction and the small-grab tail is exactly where per-grab
-// responsiveness is wanted.
-func guidedFor(w *sched.Worker, begin, end int, body BodyW, opts *Options) {
-	p := w.Pool().P()
-	minChunk := opts.chunk(end-begin, p)
-	var next atomic.Int64
-	next.Store(int64(begin))
-	grab := func(cw *sched.Worker) {
-		polls := 0 // this worker's ServeInjected count
-		for {
-			if opts.Cancel.Cancelled() {
-				if old := next.Swap(int64(end)); int(old) < end && opts.Trace != nil {
-					opts.Trace.Add(cw.ID(), trace.Cancel, old, int64(end))
-				}
-				return
-			}
-			lo64 := next.Load()
-			lo := int(lo64)
-			if lo >= end {
-				return
-			}
-			remaining := end - lo
-			size := (remaining + 2*p - 1) / (2 * p)
-			if size < minChunk {
-				size = minChunk
-			}
-			hi := lo + size
-			if hi > end {
-				hi = end
-			}
-			if !next.CompareAndSwap(lo64, int64(hi)) {
-				continue
-			}
-			runChunk(cw, body, opts, lo, hi)
-			if cw.Pool().InjectPending() {
-				polls = cw.Pool().ServeInjected(cw, opts.Priority, polls)
-			}
-		}
-	}
-	teamRun(w, opts, grab)
-}
-
-// teamRun executes fn on every worker in the pool (pinned), with the
-// calling worker participating inline — the OpenMP "parallel region"
-// model where each team thread runs the scheduling loop itself.
-func teamRun(w *sched.Worker, opts *Options, fn func(cw *sched.Worker)) {
-	var g sched.Group
-	g.BindCancel(opts.Cancel)
-	p := w.Pool().P()
+	f.team.BindCancel(opts.Cancel)
 	for i := 0; i < p; i++ {
-		if i == w.ID() {
-			continue
+		if i != w.ID() && (opts.Strategy != Static || !f.parts[i].Empty()) {
+			pool.SpawnOn(i, &f.team, f.member)
 		}
-		w.Pool().SpawnOn(i, &g, fn)
 	}
 	// Protected: a panicking body is re-raised by the Wait, after the rest
 	// of the team has finished.
-	g.Protect(func() { fn(w) })
-	w.Wait(&g)
+	//lint:ignore noalloc Protect does not retain fn, so the closure stays on the stack
+	f.team.Protect(func() { f.teamMember(w) })
+	w.Wait(&f.team)
+}
+
+// teamMember is worker w's share of the team loop on f: Static's part w,
+// or grabs from the shared counter.
+//
+//sched:noalloc
+func (f *frame) teamMember(w *sched.Worker) {
+	switch f.opts.Strategy {
+	case Static:
+		if part := f.parts[w.ID()]; !part.Empty() {
+			runChunk(w, f.body, &f.opts, part.Begin, part.End)
+		}
+	case DynamicSharing:
+		f.share(w)
+	default:
+		f.guide(w)
+	}
+}
+
+// share is OpenMP schedule(dynamic, chunk) for one team member: it
+// repeatedly grabs fixed-size chunks from the shared counter. The cancel
+// and inject polls run once per poll stride of grabs rather than per grab
+// (see pacer.go); each member derives its stride from its own first chunk
+// when the tuner gave no estimate.
+//
+//sched:noalloc
+func (f *frame) share(w *sched.Worker) {
+	pool, opts, chunk, end := w.Pool(), &f.opts, f.chunk, f.end
+	stride := opts.pollStride
+	countdown := stride
+	polls := 0 // this worker's ServeInjected count
+	if opts.Cancel.Cancelled() {
+		// Cancelled before this worker's first grab: poison the shared
+		// counter so teammates between polls observe an exhausted loop
+		// on their next grab; the first worker through records the
+		// abandoned tail.
+		f.poison(w)
+		return
+	}
+	for {
+		lo := int(f.next.Add(int64(chunk))) - chunk
+		if lo >= end {
+			return
+		}
+		hi := min(lo+chunk, end)
+		if stride == 0 {
+			t0 := time.Now()
+			execChunk(w, f.body, opts, lo, hi)
+			stride = pollStrideFor(time.Since(t0).Nanoseconds())
+			countdown = stride
+		} else {
+			execChunk(w, f.body, opts, lo, hi)
+		}
+		if countdown--; countdown > 0 {
+			continue
+		}
+		countdown = stride
+		if opts.Cancel.Cancelled() {
+			f.poison(w)
+			return
+		}
+		// Cross-loop latency fairness, as in rangeSet.runOwned: a team
+		// worker grinding a long shared counter serves pending
+		// submissions between windows.
+		if pool.InjectPending() {
+			polls = pool.ServeInjected(w, opts.Priority, polls)
+		}
+	}
+}
+
+// guide is OpenMP schedule(guided, chunk) for one team member: chunks
+// shrink in proportion to the remaining iterations divided by the team
+// size, never below the minimum chunk. The shared position advances under
+// CAS so chunk sizing and claiming are atomic together. Guided keeps its
+// per-grab polls instead of the pacer's stride: the grab sizes decrease
+// geometrically from remaining/2P, so early polls are amortized over huge
+// chunks by construction and the small-grab tail is exactly where
+// per-grab responsiveness is wanted.
+//
+//sched:noalloc
+func (f *frame) guide(w *sched.Worker) {
+	pool, opts, end := w.Pool(), &f.opts, f.end
+	p := pool.P()
+	polls := 0 // this worker's ServeInjected count
+	for {
+		if opts.Cancel.Cancelled() {
+			f.poison(w)
+			return
+		}
+		lo64 := f.next.Load()
+		lo := int(lo64)
+		if lo >= end {
+			return
+		}
+		size := max((end-lo+2*p-1)/(2*p), f.chunk)
+		hi := min(lo+size, end)
+		if !f.next.CompareAndSwap(lo64, int64(hi)) {
+			continue
+		}
+		runChunk(w, f.body, opts, lo, hi)
+		if pool.InjectPending() {
+			polls = pool.ServeInjected(w, opts.Priority, polls)
+		}
+	}
+}
+
+// poison exhausts a cancelled team loop's shared counter, so teammates
+// between polls find nothing left on their next grab; the first member
+// through records the abandoned tail.
+//
+//sched:noalloc
+func (f *frame) poison(w *sched.Worker) {
+	if old := f.next.Swap(int64(f.end)); int(old) < f.end && f.opts.Trace != nil {
+		f.opts.Trace.Add(w.ID(), trace.Cancel, old, int64(f.end))
+	}
 }

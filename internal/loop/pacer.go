@@ -29,7 +29,7 @@ package loop
 //
 // Which loops stride: the steal-half owners (rangeSet.runOwned — serving
 // DynamicStealing and the hybrid partitions) and the shared-counter team
-// (sharingFor). Guided keeps its per-grab polls: its grabs shrink
+// (frame.share). Guided keeps its per-grab polls: its grabs shrink
 // geometrically from remaining/2P, so the polls are already amortized
 // over large chunks and the tail's small grabs are exactly where
 // responsiveness matters. The hybrid claim walk polls per *claim*, not

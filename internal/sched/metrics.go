@@ -24,7 +24,7 @@ func (p *Pool) RegisterMetrics(r *metrics.Registry) {
 		workerLabels[i] = metrics.L("worker", strconv.Itoa(i))
 	}
 
-	perWorker := func(name, help string, kind metrics.Kind, field func(WorkerCounters) float64) {
+	perWorker := func(name, help string, kind metrics.Kind, field func(Stats) float64) {
 		r.OnCollect(name, help, kind, func(emit func(metrics.Labels, float64)) {
 			for i, wc := range p.PerWorker() {
 				emit(workerLabels[i], field(wc))
@@ -32,21 +32,21 @@ func (p *Pool) RegisterMetrics(r *metrics.Registry) {
 		})
 	}
 	perWorker("hybridloop_sched_tasks_total", "tasks executed per worker", metrics.KindCounter,
-		func(wc WorkerCounters) float64 { return float64(wc.Tasks) })
+		func(wc Stats) float64 { return float64(wc.Tasks) })
 	perWorker("hybridloop_sched_steals_total", "successful deque steals per worker", metrics.KindCounter,
-		func(wc WorkerCounters) float64 { return float64(wc.Steals) })
+		func(wc Stats) float64 { return float64(wc.Steals) })
 	perWorker("hybridloop_sched_failed_steal_sweeps_total", "full steal sweeps that found nothing, per worker", metrics.KindCounter,
-		func(wc WorkerCounters) float64 { return float64(wc.FailedSteals) })
+		func(wc Stats) float64 { return float64(wc.FailedSteals) })
 	perWorker("hybridloop_sched_loop_entries_total", "hybrid-loop entries via the steal protocol, per worker", metrics.KindCounter,
-		func(wc WorkerCounters) float64 { return float64(wc.LoopEntries) })
+		func(wc Stats) float64 { return float64(wc.LoopEntries) })
 	perWorker("hybridloop_sched_range_steals_total", "steal-half range transfers per worker", metrics.KindCounter,
-		func(wc WorkerCounters) float64 { return float64(wc.RangeSteals) })
+		func(wc Stats) float64 { return float64(wc.RangeSteals) })
 	perWorker("hybridloop_sched_parks_total", "committed park transitions per worker", metrics.KindCounter,
-		func(wc WorkerCounters) float64 { return float64(wc.Parks) })
+		func(wc Stats) float64 { return float64(wc.Parks) })
 	perWorker("hybridloop_sched_busy_seconds_total", "time in busy bursts per worker (needs time accounting)", metrics.KindCounter,
-		func(wc WorkerCounters) float64 { return float64(wc.BusyNanos) / 1e9 })
+		func(wc Stats) float64 { return float64(wc.BusyNanos) / 1e9 })
 	perWorker("hybridloop_sched_idle_seconds_total", "time parked per worker (needs time accounting)", metrics.KindCounter,
-		func(wc WorkerCounters) float64 { return float64(wc.IdleNanos) / 1e9 })
+		func(wc Stats) float64 { return float64(wc.IdleNanos) / 1e9 })
 
 	// Steal distance under a placement (WithPlacement): pool-level totals
 	// labeled by distance, covering both steal paths (deque steals and

@@ -555,29 +555,14 @@ func (p *Pool) ResetStats() {
 	}
 }
 
-// WorkerCounters is one worker's scheduling counters, for per-worker
-// attribution (the metrics plane's worker-labeled series).
-type WorkerCounters struct {
-	Worker            int
-	Tasks             int64
-	Steals            int64
-	FailedSteals      int64
-	LoopEntries       int64
-	RangeSteals       int64
-	RemoteSteals      int64
-	RemoteRangeSteals int64
-	Parks             int64
-	BusyNanos         int64
-	IdleNanos         int64
-}
-
-// PerWorker snapshots every worker's counters. Reads are individually
-// atomic, not mutually consistent — monitoring semantics, same as Stats.
-func (p *Pool) PerWorker() []WorkerCounters {
-	out := make([]WorkerCounters, len(p.workers))
+// PerWorker snapshots every worker's counters, indexed by worker ID, for
+// per-worker attribution (the metrics plane's worker-labeled series).
+// Reads are individually atomic, not mutually consistent — monitoring
+// semantics, same as Stats.
+func (p *Pool) PerWorker() []Stats {
+	out := make([]Stats, len(p.workers))
 	for i, w := range p.workers {
-		out[i] = WorkerCounters{
-			Worker:            i,
+		out[i] = Stats{
 			Tasks:             w.tasks.Load(),
 			Steals:            w.steals.Load(),
 			FailedSteals:      w.failedSteals.Load(),
